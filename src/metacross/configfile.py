@@ -2,11 +2,13 @@
 
 One assignment per line, ``#`` starts a comment, no sections. Every key is
 validated against the schema of the requested task before any computation
-starts; unknown keys and unparseable values name the offending key.
+starts; unknown keys, unparseable values and values below a key's lower
+bound name the offending key.
 """
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 
 from .errors import ConfigError
@@ -34,7 +36,11 @@ _CONVERTERS = {
     "int_list": _to_int_list,
 }
 
-# schema entries: key -> (type name, default)
+# lower bounds a value must meet: at least / greater than
+_AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
+_BOUND_OPS = {">=": operator.ge, ">": operator.gt}
+
+# schema entries: key -> (type name, default[, lower bound])
 _COMMON = {
     "seed": ("int", 0),
     "out": ("str", "out"),
@@ -42,17 +48,17 @@ _COMMON = {
 
 _SEG = {
     **_COMMON,
-    "extent": ("int", 32),
-    "n_train": ("int", 24),
-    "n_eval": ("int", 24),
-    "steps": ("int", 900),
-    "lr": ("float", 2e-4),
-    "weight_decay": ("float", 1e-4),
-    "clip": ("float", 1.0),
-    "embed_dim": ("int", 32),
-    "patch_size": ("int", 4),
-    "n_layers": ("int", 1),
-    "ffn_hidden": ("int", 0),  # 0 means the 4x embed_dim default
+    "extent": ("int", 32, _AT_LEAST_1),
+    "n_train": ("int", 24, _AT_LEAST_1),
+    "n_eval": ("int", 24, _AT_LEAST_1),
+    "steps": ("int", 900, _AT_LEAST_1),
+    "lr": ("float", 2e-4, _POSITIVE),
+    "weight_decay": ("float", 1e-4, _AT_LEAST_0),
+    "clip": ("float", 1.0, _POSITIVE),
+    "embed_dim": ("int", 32, _AT_LEAST_1),
+    "patch_size": ("int", 4, _AT_LEAST_1),
+    "n_layers": ("int", 1, _AT_LEAST_1),
+    "ffn_hidden": ("int", 0, _AT_LEAST_0),  # 0 means the 4x embed_dim default
     "encoder_channels": ("int_list", (8,)),
     "decoder_channels": ("int_list", (16, 8, 8)),
     "n_seg_classes": ("int", 2),
@@ -61,7 +67,7 @@ _SEG = {
     "ds_decay_epoch_fraction": ("float", 0.5),
     "gate_missing": ("bool", True),
     "direct_patch": ("bool", False),
-    "metadata_embed_dim": ("int", 16),
+    "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
     "radius_min": ("float", 4.0),
     "radius_max": ("float", 9.0),
     "availability_training": ("str", "shared"),
@@ -79,35 +85,35 @@ for _mod, (_bg, _fg, _sigma) in {
 
 _CLS = {
     **_COMMON,
-    "extent": ("int", 32),
-    "n_train": ("int", 48),
-    "n_eval": ("int", 40),
-    "slices_per_volume": ("int", 3),
-    "steps": ("int", 300),
-    "batch": ("int", 8),
-    "lr": ("float", 1e-3),
-    "weight_decay": ("float", 1e-4),
-    "clip": ("float", 1.0),
+    "extent": ("int", 32, _AT_LEAST_1),
+    "n_train": ("int", 48, _AT_LEAST_1),
+    "n_eval": ("int", 40, _AT_LEAST_1),
+    "slices_per_volume": ("int", 3, _AT_LEAST_1),
+    "steps": ("int", 300, _AT_LEAST_1),
+    "batch": ("int", 8, _AT_LEAST_1),
+    "lr": ("float", 1e-3, _POSITIVE),
+    "weight_decay": ("float", 1e-4, _AT_LEAST_0),
+    "clip": ("float", 1.0, _POSITIVE),
     "stage_channels": ("int_list", (16, 32, 64, 128)),
     "film_stages": ("int_list", (2, 3)),
-    "trials": ("int", 20),
+    "trials": ("int", 20, _AT_LEAST_1),
     "checkpoint": ("str", ""),
 }
 
 _COMPLEXITY = {
     **_COMMON,
-    "embed_dim": ("int", 256),
-    "input_extent": ("int", 64),
-    "patch_size": ("int", 4),
-    "encoder_downsamples": ("int", 1),
-    "ffn_hidden": ("int", 0),
-    "n_layers": ("int", 1),
-    "metadata_embed_dim": ("int", 16),
+    "embed_dim": ("int", 256, _AT_LEAST_1),
+    "input_extent": ("int", 64, _AT_LEAST_1),
+    "patch_size": ("int", 4, _AT_LEAST_1),
+    "encoder_downsamples": ("int", 1, _AT_LEAST_0),
+    "ffn_hidden": ("int", 0, _AT_LEAST_0),
+    "n_layers": ("int", 1, _AT_LEAST_1),
+    "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
 }
 
 _GRADCHECK = {**_COMMON}
 
-SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
+SCHEMAS: dict[str, dict[str, tuple]] = {
     "seg": _SEG,
     "cls": _CLS,
     "complexity": _COMPLEXITY,
@@ -137,15 +143,19 @@ def validate_config(pairs: dict[str, str], task: str) -> dict:
     if task not in SCHEMAS:
         raise ConfigError(f"unknown task {task!r}; choose from {sorted(SCHEMAS)}")
     schema = SCHEMAS[task]
-    values: dict[str, object] = {key: default for key, (_, default) in schema.items()}
+    values: dict[str, object] = {key: spec[1] for key, spec in schema.items()}
     for key, raw in pairs.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for task {task!r}")
-        type_name, _ = schema[key]
+        spec = schema[key]
         try:
-            values[key] = _CONVERTERS[type_name](raw)
+            values[key] = _CONVERTERS[spec[0]](raw)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {type_name}") from exc
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {spec[0]}") from exc
+        if len(spec) == 3:
+            op, low = spec[2]
+            if not _BOUND_OPS[op](values[key], low):
+                raise ConfigError(f"config key {key!r}: {raw!r} must be {op} {low}")
     return values
 
 

@@ -10,6 +10,8 @@ only, which is what inference paths use.
 Broadcasting follows the trailing-dimension rule: shapes are aligned from the
 right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
+
+conv2d and conv3d share one slabbed im2col kernel, one GEMM per slab of planes.
 """
 
 from __future__ import annotations
@@ -504,6 +506,11 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
     return span // stride + 1
 
 
+# Column buffer bytes per slab: the extra working memory of one conv call. A
+# stride-1 plane at 32^3 with 8 input channels (216 rows x 34^2 points) is 2.0 MB.
+_SLAB_BYTES = 1 << 21
+
+
 def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:
     if x.ndim != nd + 2:
         raise ShapeError(f"{name} expects rank-{nd + 2} input [batch, ch, spatial...], got {x.shape}")
@@ -519,55 +526,70 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     spatial = x.shape[2:]
     out_spatial = tuple(conv_output_extent(e, k, stride, padding) for e, k in zip(spatial, kernel))
 
-    pad_spec = [(0, 0), (0, 0)] + [(padding, padding)] * nd
-    xp = np.pad(x.data, pad_spec) if padding else x.data
+    # The padded input is kept flat as [batch, first axis, ch, *other axes], so one
+    # offset's windows over one output plane of every channel form one run. Column
+    # rows are (offset, ch), columns (batch, plane, grid point); a stride-1 grid
+    # spans whole padded planes, and its extra points are trimmed from the output.
+    padded = tuple(e + 2 * padding for e in spatial)
+    plane, rows = math.prod(padded[1:]), in_ch * math.prod(kernel)
+    vol, layout = in_ch * padded[0] * plane, (batch, padded[0], in_ch) + padded[1:]  # vol: one batch entry
+    axis_step = (in_ch * plane,) + tuple(math.prod(padded[a + 1:]) for a in range(1, nd))
+    steps = tuple(8 * s for s in axis_step + (plane, vol) + tuple(stride * s for s in axis_step))
+    tail = sum((k - 1) * s for k, s in zip(kernel[1:], axis_step[1:]))  # read by the extra points
+    grid = padded[1:] if stride == 1 else out_spatial[1:]
+    width = batch * math.prod(grid)  # columns per output plane
+    slab = max(1, min(out_spatial[0], _SLAB_BYTES // max(8 * rows * width, 1)))
+    inner = slice(padding, -padding or None)
+    interior = (slice(None), inner, slice(None)) + (inner,) * (nd - 1)
+    trim = (slice(None),) * 3 + tuple(map(slice, out_spatial[1:]))
 
-    out_data = np.zeros((batch, out_ch) + out_spatial)
-    offsets = list(np.ndindex(*kernel))
+    def padded_flat(src: np.ndarray) -> np.ndarray:
+        buf = np.zeros(batch * vol + tail)
+        buf[:batch * vol].reshape(layout)[interior] = src.swapaxes(1, 2)
+        return buf
 
-    def window(k_off):
-        sl = [slice(None), slice(None)]
-        sl += [slice(k, k + stride * o, stride) for k, o in zip(k_off, out_spatial)]
-        return tuple(sl)
+    def windows(buf: np.ndarray, d0: int, n: int) -> np.ndarray:  # [*kernel, in, batch, n, *grid]
+        return np.ndarray(kernel + (in_ch, batch, n) + grid, buffer=buf,
+                          offset=8 * d0 * stride * axis_step[0], strides=steps)
 
-    for k_off in offsets:
-        xs = xp[window(k_off)]  # [batch, in_ch, *out_spatial]
-        wk = weight.data[(slice(None), slice(None)) + k_off]  # [out_ch, in_ch]
-        out_data += np.moveaxis(np.tensordot(wk, xs, axes=([1], [1])), 1, 0)
-    if bias is not None:
-        out_data += bias.data.reshape((1, out_ch) + (1,) * nd)
+    def slabs():
+        cols = np.empty(slab * rows * width)  # one column buffer per call, reused by every slab
+        for d0 in range(0, out_spatial[0], slab):
+            n = min(slab, out_spatial[0] - d0)
+            yield d0, n, cols[:n * rows * width].reshape(kernel + (in_ch, batch, n) + grid)
+
+    xp, w2 = padded_flat(x.data), np.moveaxis(weight.data, 1, -1).reshape(out_ch, rows)  # [out, (offset, in)]
+    b = (np.zeros(out_ch) if bias is None else bias.data).reshape((out_ch,) + (1,) * nd)
+    out_data = np.empty((batch, out_ch) + out_spatial)
+    for d0, n, cols in slabs():
+        np.copyto(cols, windows(xp, d0, n))
+        res = (w2 @ cols.reshape(rows, n * width)).reshape((out_ch, batch, n) + grid)
+        np.add(res[trim].swapaxes(0, 1), b, out=out_data[:, :, d0:d0 + n])
     out = Tensor(out_data)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
-    def rule(g: np.ndarray) -> None:
-        spatial_axes = tuple(range(2, nd + 2))
+    def rule(g: np.ndarray) -> None:  # rebuilds the padded input and weight rows: the tape keeps neither
         if bias is not None and bias.needs_grad:
-            bias.accumulate(g.sum(axis=(0,) + spatial_axes))
-        need_x = x.needs_grad
-        need_w = weight.needs_grad
-        if not (need_x or need_w):
-            return
-        gxp = np.zeros_like(xp) if need_x else None
-        for k_off in offsets:
-            idx = window(k_off)
-            if need_w:
-                xs = xp[idx]
-                dw = np.tensordot(g, xs, axes=([0] + list(spatial_axes), [0] + list(spatial_axes)))
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                weight.grad[(slice(None), slice(None)) + k_off] += dw
-            if need_x:
-                wk = weight.data[(slice(None), slice(None)) + k_off]
-                gxp[idx] += np.moveaxis(np.tensordot(g, wk, axes=([1], [0])), -1, 1)
-        if need_x:
-            if padding:
-                crop = (slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in spatial)
-                x.accumulate(gxp[crop])
-            else:
-                x.accumulate(gxp)
+            bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
+        xp = padded_flat(x.data) if weight.needs_grad else None
+        dxp = np.zeros(batch * vol + tail) if x.needs_grad else None
+        w2, dw2 = np.moveaxis(weight.data, 1, -1).reshape(out_ch, rows), np.zeros((out_ch, rows))
+        for d0, n, cols in slabs():
+            gs = np.zeros((out_ch, batch, n) + grid)  # extra grid points get zero gradient
+            gs[trim] = g[:, :, d0:d0 + n].swapaxes(0, 1)
+            if xp is not None:
+                np.copyto(cols, windows(xp, d0, n))
+                dw2 += gs.reshape(out_ch, n * width) @ cols.reshape(rows, n * width).T
+            if dxp is not None:  # the columns' gradient overwrites them, then adds into dX
+                np.matmul(w2.T, gs.reshape(out_ch, n * width), out=cols.reshape(rows, n * width))
+                dv = windows(dxp, d0, n)
+                for k in np.ndindex(*kernel):
+                    np.add(dv[k], cols[k], out=dv[k])
+        if xp is not None:
+            weight.accumulate(np.moveaxis(dw2.reshape((out_ch,) + kernel + (in_ch,)), -1, 1))
+        if dxp is not None:
+            x.accumulate(dxp[:batch * vol].reshape(layout)[interior].swapaxes(1, 2))
 
-    return _record(name, out, inputs, rule)
+    return _record(name, out, (x, weight) if bias is None else (x, weight, bias), rule)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -593,9 +615,15 @@ def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
 
     def rule(g: np.ndarray) -> None:
         if x.needs_grad:
-            b, c, d, h, w = x.shape
-            gg = g.reshape(b, c, d, factor, h, factor, w, factor)
-            x.accumulate(gg.sum(axis=(3, 5, 7)))
+            for axis in (2, 3, 4):  # sum each block's `factor` strided slices, one axis at a time
+                idx = [slice(None)] * 5
+                idx[axis] = slice(0, None, factor)
+                acc = g[tuple(idx)].copy()
+                for i in range(1, factor):
+                    idx[axis] = slice(i, None, factor)
+                    acc += g[tuple(idx)]
+                g = acc
+            x.accumulate(g)
 
     return _record("upsample3d_nearest", out, (x,), rule)
 

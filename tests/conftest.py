@@ -15,6 +15,7 @@ from metacross.harness import run_probe, run_sweep
 
 # criterion id -> (passed, detail); populated by tests/test_acceptance.py
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
+SELECTED: set[str] = set()  # names of the tests this session runs
 
 CRITERIA = {
     1: "masked attention exactness over all availability patterns",
@@ -51,6 +52,10 @@ def probe_run():
     return values, probe, time.perf_counter() - start
 
 
+def pytest_collection_finish(session):
+    SELECTED.update(item.name for item in session.items)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE:
         return
@@ -60,6 +65,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if cid in ACCEPTANCE:
             passed, detail = ACCEPTANCE[cid]
             verdict = "PASS" if passed else "FAIL"
+        elif not any(name.startswith(f"test_criterion_{cid}_") for name in SELECTED):
+            verdict, detail = "NOT RUN", "deselected in this session"
         else:
             verdict, detail = "FAIL", "test did not run to completion"
         tr.write_line(f"[criterion {cid}] {verdict}  {CRITERIA[cid]}: {detail}")

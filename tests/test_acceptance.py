@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.special import erf
 
 import metacross.tensor as T
@@ -210,6 +211,7 @@ def test_criterion_6_neutral_modulation_identity():
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_7_training_trend(sweep_run):
     values, sweep, sweep_elapsed = sweep_run
     start = time.perf_counter()
@@ -236,6 +238,7 @@ def test_criterion_7_training_trend(sweep_run):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_8_permutation_probe_sign(probe_run):
     values, probe, elapsed = probe_run
     delta = probe["delta"]
@@ -250,6 +253,7 @@ def test_criterion_8_permutation_probe_sign(probe_run):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_9_artifact_determinism(tmp_path, capsys):
     start = time.perf_counter()
     cfg = tmp_path / "sweep.cfg"

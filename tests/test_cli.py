@@ -82,6 +82,24 @@ def test_unparseable_config_value_names_key(tmp_path, capsys):
     assert "steps" in err and "many" in err
 
 
+def test_zero_steps_is_config_error(tmp_path, capsys):
+    # steps = 0 used to end train-seg in an IndexError on the empty loss curve
+    cfg = _write(tmp_path, "seg.cfg", MICRO_SEG.replace("steps = 4", "steps = 0"))
+    out = tmp_path / "out"
+    assert main(["train-seg", "--config", cfg, "--out", str(out)]) == 1
+    assert "config key 'steps'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_batch_is_config_error(tmp_path, capsys):
+    # batch = 0 used to end probe-permutation in a ZeroDivisionError in the loss
+    cfg = _write(tmp_path, "cls.cfg", MICRO_CLS.replace("batch = 4", "batch = 0"))
+    out = tmp_path / "out"
+    assert main(["probe-permutation", "--config", cfg, "--out", str(out)]) == 1
+    assert "config key 'batch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gradcheck_suite", lambda seed: {"matmul": 1.0})
     assert main(["gradcheck"]) == 2

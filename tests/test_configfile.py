@@ -77,6 +77,20 @@ def test_validate_rejects_bad_values():
         validate_config({"encoder_channels": "8, x"}, "seg")
 
 
+def test_validate_rejects_values_below_lower_bound():
+    with pytest.raises(ConfigError, match="'lr': '0' must be > 0"):
+        validate_config({"lr": "0"}, "seg")
+    with pytest.raises(ConfigError, match="'lr': 'nan' must be > 0"):
+        validate_config({"lr": "nan"}, "cls")
+    with pytest.raises(ConfigError, match="'trials': '0' must be >= 1"):
+        validate_config({"trials": "0"}, "cls")
+    with pytest.raises(ConfigError, match="'weight_decay': '-1e-4' must be >= 0"):
+        validate_config({"weight_decay": "-1e-4"}, "seg")
+    # the bounds are inclusive where zero means something
+    assert validate_config({"ffn_hidden": "0", "weight_decay": "0"}, "seg")["ffn_hidden"] == 0
+    assert validate_config({"encoder_downsamples": "0"}, "complexity")["encoder_downsamples"] == 0
+
+
 def test_validate_rejects_unknown_task():
     with pytest.raises(ConfigError, match="unknown task"):
         validate_config({}, "nope")

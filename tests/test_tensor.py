@@ -278,20 +278,30 @@ def test_conv_output_extent_rejects_bad_geometry():
         T.conv_output_extent(2, 5, 1, 1)
 
 
-def _conv2d_bruteforce(x, w, b, stride, padding):
-    batch, in_ch, h, wd = x.shape
-    out_ch, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((batch, out_ch, oh, ow))
-    for n in range(batch):
-        for o in range(out_ch):
-            for i in range(oh):
-                for j in range(ow):
-                    patch = xp[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[n, o, i, j] = (patch * w[o]).sum() + b[o]
-    return out
+def _conv_bruteforce(x, w, b, stride, padding, g=None):
+    """Cross-correlation one output position at a time, for any number of spatial axes.
+
+    With ``g`` it also returns (dx, dw, db), the gradients of ``sum(out * g)``,
+    built by scattering each window's contribution back.
+    """
+    nd = w.ndim - 2
+    kernel = w.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * nd)
+    out_spatial = tuple((e - k) // stride + 1 for e, k in zip(xp.shape[2:], kernel))
+    out = np.zeros((x.shape[0], w.shape[0]) + out_spatial)
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(x.shape[0]):
+        for pos in np.ndindex(*out_spatial):
+            win = (n, slice(None)) + tuple(slice(p * stride, p * stride + k) for p, k in zip(pos, kernel))
+            for o in range(w.shape[0]):
+                out[(n, o) + pos] = (xp[win] * w[o]).sum() + b[o]
+                if g is not None:
+                    dw[o] += g[(n, o) + pos] * xp[win]
+                    dxp[win] += g[(n, o) + pos] * w[o]
+    if g is None:
+        return out
+    crop = (slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in x.shape[2:])
+    return out, dxp[crop], dw, g.sum(axis=(0,) + tuple(range(2, nd + 2)))
 
 
 def test_conv2d_matches_bruteforce():
@@ -304,7 +314,7 @@ def test_conv2d_matches_bruteforce():
         w = rng.normal(size=(4, 3, k, k))
         b = rng.normal(size=4)
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        want = _conv2d_bruteforce(x, w, b, stride, padding)
+        want = _conv_bruteforce(x, w, b, stride, padding)
         assert got.shape == want.shape
         assert np.all(np.abs(got.data - want) < 1e-12)
 
@@ -324,6 +334,60 @@ def test_conv3d_matches_bruteforce():
                     patch = xp[0, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2, 2 * l:2 * l + 2]
                     out[0, o, i, j, l] = (patch * w[o]).sum() + b[o]
     assert np.all(np.abs(got.data - out) < 1e-12)
+
+
+def _two_plane_slabs(x_shape, w_shape, stride, padding):
+    """A column budget that gives slabs of two output planes along the first axis.
+
+    The columns of one output plane are 8 bytes x (in channels x kernel
+    volume) rows x (batch x grid points); a stride-1 grid spans the padded
+    extents of the other axes, any other grid their output extents.
+    """
+    kernel = w_shape[2:]
+    other = [(e + 2 * padding - k) // stride + 1 for e, k in zip(x_shape[3:], kernel[1:])]
+    grid = [e + 2 * padding for e in x_shape[3:]] if stride == 1 else other
+    return 2 * 8 * w_shape[1] * math.prod(kernel) * x_shape[0] * math.prod(grid) + 8
+
+
+# (x shape, weight shape, stride, padding); each gives seven output planes along
+# the first spatial axis, so two-plane slabs leave a ragged last slab of one
+MULTI_SLAB_GEOMETRIES = [
+    ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1),
+    ((2, 3, 9, 4, 5), (4, 3, 3, 2, 3), 1, 0),
+    ((2, 3, 13, 6, 5), (4, 3, 3, 3, 3), 2, 1),
+    ((2, 2, 14, 6, 7), (3, 2, 2, 2, 2), 2, 0),
+    ((2, 3, 7, 9), (4, 3, 3, 3), 1, 1),
+    ((2, 3, 15, 8), (5, 3, 3, 2), 2, 0),
+]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding", MULTI_SLAB_GEOMETRIES)
+def test_conv_multi_slab_matches_bruteforce(monkeypatch, x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(37)
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    out_spatial = tuple(T.conv_output_extent(e, k, stride, padding) for e, k in zip(x_shape[2:], w_shape[2:]))
+    g = rng.normal(size=(x_shape[0], w_shape[0]) + out_spatial)
+    want, want_dx, want_dw, want_db = _conv_bruteforce(x, w, b, stride, padding, g)
+    conv = T.conv3d if len(x_shape) == 5 else T.conv2d
+    # 1 byte forces one-plane slabs; the other budget gives 2 + 2 + 2 + 1 planes
+    for budget in (1, _two_plane_slabs(x_shape, w_shape, stride, padding)):
+        monkeypatch.setattr(T, "_SLAB_BYTES", budget)
+        for need_x, need_w in ((True, True), (False, True), (True, False)):
+            xt, wt, bt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w), Tensor(b, requires_grad=True)
+            with Tape() as tape:
+                y = conv(xt, wt, bt, stride=stride, padding=padding)
+                tape.backward(T.sum_(T.mul(y, Tensor(g))))
+            assert y.shape == want.shape
+            assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(bt.grad, want_db, rtol=1e-12, atol=1e-12)
+            if need_x:
+                assert np.allclose(xt.grad, want_dx, rtol=1e-12, atol=1e-12)
+            else:
+                assert xt.grad is None
+            if need_w:
+                assert np.allclose(wt.grad, want_dw, rtol=1e-12, atol=1e-12)
+            else:
+                assert wt.grad is None
 
 
 def test_conv2d_identity_kernel():
@@ -356,6 +420,16 @@ def test_upsample3d_gradient_is_block_sum():
         y = T.sum_(T.upsample3d_nearest(x, 2))
         tape.backward(y)
     assert np.array_equal(x.grad, np.full((1, 1, 2, 2, 2), 8.0))
+
+    # factor 3 with an uneven upstream gradient: each voxel gets its 3x3x3 block's sum
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(2, 3, 2, 3, 4)), requires_grad=True)
+    g = rng.normal(size=(2, 3, 6, 9, 12))
+    with Tape() as tape:
+        y = T.sum_(T.mul(T.upsample3d_nearest(x, 3), Tensor(g)))
+        tape.backward(y)
+    want = g.reshape(2, 3, 2, 3, 3, 3, 4, 3).sum(axis=(3, 5, 7))
+    assert np.allclose(x.grad, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
