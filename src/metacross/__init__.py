@@ -19,7 +19,7 @@ from .errors import (CheckpointError, ConfigError, DegenerateMaskError,
                      ShapeError)
 from .metadata import (FilmGenerator, FilmParams, MetadataContext,
                        MetadataEmbeddings, MetadataEncoder, MODALITY_NAMES,
-                       Modality, ModalityMask, build_mask)
+                       Modality, ModalityMask)
 from .phantoms import (DEFAULT_CONTRASTS, ModalityContrast, PhantomSpec,
                        apply_availability, generate_cls_phantoms,
                        generate_seg_phantoms)

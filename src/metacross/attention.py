@@ -9,7 +9,7 @@ contributes an exact zero weight and an exact zero gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class TokenGrid:
 
     tokens: Tensor
     grid_extent: tuple[int, int, int]
-    positional: Tensor | None = field(default=None, repr=False)
 
     def __post_init__(self):
         d, h, w = self.grid_extent
@@ -104,7 +103,7 @@ class PatchTokenizer(Module):
         x = T.transpose(x, (1, 3, 5, 0, 2, 4, 6))  # [gd, gh, gw, c, p, p, p]
         patches = T.reshape(x, (self.n_tokens, c * p ** 3))
         tokens = T.add(self.proj(patches), self.positional)
-        return TokenGrid(tokens, self.grid, self.positional)
+        return TokenGrid(tokens, self.grid)
 
     def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "tokenizer"):
         from .complexity import LayerCost, linear_flops
@@ -158,23 +157,12 @@ class CrossAttentionBlock(Module):
 
     def __call__(self, grid: TokenGrid, keys: Tensor, values: Tensor, mask: ModalityMask) -> TokenGrid:
         out = self.forward_tokens(grid.tokens, keys, values, mask)
-        return TokenGrid(out, grid.grid_extent, grid.positional)
+        return TokenGrid(out, grid.grid_extent)
 
     def cost_rows(self, n_tokens: int, name: str = "cross_attention"):
-        from .complexity import (GELU_FLOPS_PER_ELEMENT, LN_FLOPS_PER_ELEMENT,
-                                 SOFTMAX_FLOPS_PER_ELEMENT, LayerCost)
+        from .complexity import attention_layer_rows
 
-        d, f, m = self.cfg.embed_dim, self.cfg.ffn_hidden, self.cfg.n_modalities
-        rows = [
-            LayerCost(f"{name}.attend", "attention", 0,
-                      attention_flops(self.cfg, n_tokens, "metadata_cross") + SOFTMAX_FLOPS_PER_ELEMENT * n_tokens * m),
-            LayerCost(f"{name}.norms", "norm", 4 * d, 2 * LN_FLOPS_PER_ELEMENT * n_tokens * d),
-            LayerCost(f"{name}.ffn", "linear",
-                      self.ffn_in.weight.size + self.ffn_in.bias.size + self.ffn_out.weight.size + self.ffn_out.bias.size,
-                      2 * n_tokens * d * f + n_tokens * f + GELU_FLOPS_PER_ELEMENT * n_tokens * f
-                      + 2 * n_tokens * f * d + n_tokens * d),
-        ]
-        return rows
+        return attention_layer_rows(name, self.cfg, n_tokens, "metadata_cross")
 
 
 def attention_flops(cfg: AttentionConfig, n_tokens: int, mode: str) -> int:

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, EmptyInputError, ShapeError
-from .metadata import (FilmGenerator, FilmParams, MetadataContext,
-                       MetadataEmbeddings, N_MODALITIES, N_PLANES)
-from .nn import Conv2d, Linear, Module
+from .metadata import (FILM_CONTEXT_DIM, FILM_HIDDEN_DIM, FilmGenerator,
+                       FilmParams, MetadataContext, MetadataEmbeddings,
+                       N_MODALITIES, N_PLANES)
+from .nn import Conv, Linear, Module
 from .tensor import Tensor
 
 
@@ -53,15 +54,19 @@ class ClassifierConfig:
 
 
 def film_apply(x: Tensor, params: FilmParams) -> Tensor:
-    """Residual per-channel modulation of a [batch, C, H, W] feature map."""
+    """Residual per-channel modulation of a [batch, C, H, W] feature map.
+
+    ``params`` carries one row shared by the whole batch or one row per sample.
+    """
     if x.ndim != 4:
         raise ShapeError(f"film_apply expects [batch, C, H, W], got {x.shape}")
-    c = x.shape[1]
+    b, c = x.shape[:2]
     if params.channels != c:
         raise ConfigError(f"film parameters carry {params.channels} channels but the feature map has {c}")
-    gamma = T.reshape(params.gamma, (c, 1, 1))
-    beta = T.reshape(params.beta, (c, 1, 1))
-    return T.add(x, T.add(T.mul(x, gamma), beta))
+    if params.rows not in (1, b):
+        raise ShapeError(f"film parameters carry {params.rows} rows for a batch of {b}; need 1 or {b}")
+    shape = (params.rows, c, 1, 1)
+    return T.add(x, T.add(T.mul(x, T.reshape(params.gamma, shape)), T.reshape(params.beta, shape)))
 
 
 @dataclass
@@ -84,17 +89,18 @@ class FilmClassifier(Module):
         stages = []
         prev = cfg.in_channels
         for ch in cfg.stage_channels:
-            stages.append(Conv2d(prev, ch, kernel=3, stride=2, padding=1, rng=rng))
+            stages.append(Conv(2, prev, ch, kernel=3, stride=2, padding=1, rng=rng))
             prev = ch
         self.stages = stages
         self.film = {str(s): FilmGenerator(cfg.stage_channels[s], rng=rng) for s in cfg.film_stages}
         self.head = Linear(prev, cfg.n_classes, rng=rng)
 
-    def context(self, sequence: int, plane: int) -> MetadataContext:
+    def context(self, sequence, plane) -> MetadataContext:
+        """Context of one (sequence, plane) id pair, or of equal-length id lists."""
         return self.embeddings.context(sequence, plane)
 
     def forward(self, image: Tensor, ctx: MetadataContext, use_film: bool = True) -> Tensor:
-        """Logits [batch x n_classes] for a batch sharing one metadata context."""
+        """Logits [batch x n_classes]; ``ctx`` has one row shared by the batch or one per sample."""
         if image.ndim != 4 or image.shape[1] != self.cfg.in_channels:
             raise ShapeError(f"expected [batch, {self.cfg.in_channels}, H, W], got {image.shape}")
         h, w = image.shape[2], image.shape[3]
@@ -129,7 +135,8 @@ class FilmClassifier(Module):
             if i in self.cfg.film_stages:
                 gen = self.film[str(i)]
                 params = gen.n_parameters()
-                flops = linear_flops(1, 32, 64, True) + linear_flops(1, 64, 2 * gen.channels, True) \
+                flops = linear_flops(b, FILM_CONTEXT_DIM, FILM_HIDDEN_DIM, True) \
+                    + linear_flops(b, FILM_HIDDEN_DIM, 2 * gen.channels, True) \
                     + 4 * b * conv.out_ch * h * w  # apply: mul + two adds + broadcast copy
                 rows.append(LayerCost(f"{name}.film{i}", "film", params, flops))
         rows.extend(self.head.cost_rows((b, self.stages[-1].out_ch), name=f"{name}.head"))
@@ -141,13 +148,13 @@ def evaluate_accuracy(model: FilmClassifier, samples: list[ClsSample],
     """Fraction of correct argmax predictions, optionally with substituted metadata."""
     if not samples:
         raise EmptyInputError("cannot evaluate an empty sample list")
-    correct = 0
-    for i, s in enumerate(samples):
-        seq, plane = (s.sequence, s.plane) if metadata is None else metadata[i]
-        ctx = model.context(seq, plane)
-        logits = model.forward(Tensor(s.image[None]), ctx)
-        correct += int(np.argmax(logits.data[0]) == s.label)
-    return correct / len(samples)
+    pairs = [(s.sequence, s.plane) for s in samples] if metadata is None else list(metadata)
+    if len(pairs) != len(samples):
+        raise ShapeError(f"{len(pairs)} metadata pairs for {len(samples)} samples")
+    ctx = model.context(*zip(*pairs))
+    logits = model.forward(Tensor(np.stack([s.image for s in samples])), ctx)
+    correct = np.argmax(logits.data, axis=1) == np.array([s.label for s in samples])
+    return int(correct.sum()) / len(samples)
 
 
 def permutation_probe(model: FilmClassifier, samples: list[ClsSample], trials: int, seed: int) -> dict:
@@ -196,10 +203,6 @@ def gamma_statistics(model: FilmClassifier, samples: list[ClsSample]) -> dict[in
         raise ConfigError("model has no FiLM stages to summarize")
     if not samples:
         raise EmptyInputError("gamma statistics need a non-empty dataset")
-    sums = {s: 0.0 for s in model.cfg.film_stages}
-    for s in samples:
-        ctx = model.context(s.sequence, s.plane)
-        for stage in model.cfg.film_stages:
-            params = model.film[str(stage)](ctx)
-            sums[stage] += float(np.mean(np.abs(params.gamma.data)))
-    return {stage: total / len(samples) for stage, total in sums.items()}
+    ctx = model.context([s.sequence for s in samples], [s.plane for s in samples])
+    return {stage: float(np.mean(np.abs(model.film[str(stage)](ctx).gamma.data)))
+            for stage in model.cfg.film_stages}

@@ -102,19 +102,28 @@ class BottleneckConfig:
                                ffn_hidden=self.ffn_hidden, n_layers=self.n_layers)
 
 
-def _ffn_rows(name: str, n: int, d: int, f: int) -> list[LayerCost]:
-    params = d * f + f + f * d + d
-    flops = linear_flops(n, d, f, True) + GELU_FLOPS_PER_ELEMENT * n * f + linear_flops(n, f, d, True)
-    return [LayerCost(name, "linear", params, flops)]
+def metadata_encoder_row(name: str, embed_dim: int, width: int) -> LayerCost:
+    """The four-entry modality dictionary and its two E->D projections (keys, values)."""
+    return LayerCost(name, "encoder", N_MODALITIES * embed_dim + 2 * (embed_dim * width + width),
+                     2 * linear_flops(N_MODALITIES, embed_dim, width, True))
 
 
-def _norm_rows(name: str, n: int, d: int) -> list[LayerCost]:
-    return [LayerCost(name, "norm", 4 * d, 2 * LN_FLOPS_PER_ELEMENT * n * d)]
+def attention_layer_rows(name: str, att: AttentionConfig, n: int, mode: str) -> list[LayerCost]:
+    """Attend (logits, softmax, weighted sum), both layer norms and the GELU FFN of one layer on n tokens."""
+    d, f = att.embed_dim, att.ffn_hidden
+    columns = n if mode == "self_attention" else att.n_modalities
+    return [
+        LayerCost(f"{name}.attend", "attention", 0,
+                  attention_flops(att, n, mode) + SOFTMAX_FLOPS_PER_ELEMENT * n * columns),
+        LayerCost(f"{name}.norms", "norm", 4 * d, 2 * LN_FLOPS_PER_ELEMENT * n * d),
+        LayerCost(f"{name}.ffn", "linear", d * f + f + f * d + d,
+                  linear_flops(n, d, f, True) + GELU_FLOPS_PER_ELEMENT * n * f + linear_flops(n, f, d, True)),
+    ]
 
 
 def bottleneck_rows(cfg: BottleneckConfig) -> list[LayerCost]:
     """Per-layer cost table for one bottleneck variant."""
-    n, d, f = cfg.n_tokens, cfg.embed_dim, cfg.ffn_hidden
+    n, d = cfg.n_tokens, cfg.embed_dim
     att = cfg.attention_config()
     rows: list[LayerCost] = []
     for layer in range(cfg.n_layers):
@@ -122,19 +131,9 @@ def bottleneck_rows(cfg: BottleneckConfig) -> list[LayerCost]:
         if cfg.kind == "self_attention":
             rows.append(LayerCost(f"{tag}.qkvo_proj", "linear",
                                   4 * (d * d + d), 4 * linear_flops(n, d, d, True)))
-            rows.append(LayerCost(f"{tag}.attend", "attention", 0,
-                                  attention_flops(att, n, "self_attention")
-                                  + SOFTMAX_FLOPS_PER_ELEMENT * n * n))
         else:
-            e = cfg.metadata_embed_dim
-            rows.append(LayerCost(f"{tag}.metadata_encoder", "encoder",
-                                  N_MODALITIES * e + 2 * (e * d + d),
-                                  2 * linear_flops(N_MODALITIES, e, d, True)))
-            rows.append(LayerCost(f"{tag}.attend", "attention", 0,
-                                  attention_flops(att, n, "metadata_cross")
-                                  + SOFTMAX_FLOPS_PER_ELEMENT * n * N_MODALITIES))
-        rows.extend(_norm_rows(f"{tag}.norms", n, d))
-        rows.extend(_ffn_rows(f"{tag}.ffn", n, d, f))
+            rows.append(metadata_encoder_row(f"{tag}.metadata_encoder", cfg.metadata_embed_dim, d))
+        rows.extend(attention_layer_rows(tag, att, n, cfg.kind))
     return rows
 
 
@@ -187,14 +186,6 @@ def compare_bottlenecks(baseline_cfg: BottleneckConfig, ours_cfg: BottleneckConf
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def render_cost_csv(report: ComplexityReport) -> str:
-    lines = [REPORT_HEADER, "layer,kind,params,flops"]
-    for r in report.rows:
-        lines.append(f"{r.name},{r.kind},{r.params},{r.flops}")
-    lines.append(f"total,total,{report.total_params},{report.total_flops}")
-    return "\n".join(lines) + "\n"
 
 
 def _aligned_rows(comparison: BottleneckComparison) -> list[tuple[str, str, int, int, int, int]]:

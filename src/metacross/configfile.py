@@ -97,7 +97,6 @@ _CLS = {
     "stage_channels": ("int_list", (16, 32, 64, 128)),
     "film_stages": ("int_list", (2, 3)),
     "trials": ("int", 20, _AT_LEAST_1),
-    "checkpoint": ("str", ""),
 }
 
 _COMPLEXITY = {

@@ -219,21 +219,12 @@ def _cls_phantom_spec(values: dict, n: int, seed: int) -> PhantomSpec:
 
 
 def _cls_loss(model: FilmClassifier, batch: list[ClsSample]) -> T.Tensor:
-    """Mean cross entropy over a mixed-metadata batch, grouped by context."""
-    groups: dict[tuple[int, int], list[ClsSample]] = {}
-    for s in batch:
-        groups.setdefault((s.sequence, s.plane), []).append(s)
-    total = None
-    for (seq, plane), members in sorted(groups.items()):
-        images = Tensor(np.stack([m.image for m in members]))
-        ctx = model.context(seq, plane)
-        logits = model.forward(images, ctx)
-        onehot = np.zeros((len(members), model.cfg.n_classes))
-        for i, m in enumerate(members):
-            onehot[i, m.label] = 1.0
-        term = T.scale(T.sum_(T.mul(Tensor(onehot), T.log_softmax(logits, axis=1))), -1.0)
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / len(batch))
+    """Mean cross entropy over a mixed-metadata batch, one forward with a per-sample context."""
+    images = Tensor(np.stack([s.image for s in batch]))
+    logits = model.forward(images, model.context([s.sequence for s in batch], [s.plane for s in batch]))
+    onehot = np.zeros((len(batch), model.cfg.n_classes))
+    onehot[np.arange(len(batch)), [s.label for s in batch]] = 1.0
+    return T.scale(T.sum_(T.mul(Tensor(onehot), T.log_softmax(logits, axis=1))), -1.0 / len(batch))
 
 
 def train_classifier(values: dict) -> tuple[FilmClassifier, list[float], list[ClsSample], list[ClsSample]]:
@@ -334,13 +325,14 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
     emb = MetadataEmbeddings(rng=np.random.default_rng(int(rng.integers(2 ** 31))))
     gen = FilmGenerator(channels=3, rng=np.random.default_rng(int(rng.integers(2 ** 31))))
     xf = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)))
+    ids = ([1, 3], [2, 0])  # two samples, two contexts
 
     def film_objective(_: Tensor) -> T.Tensor:
         # reads whatever grad_check wrote into the varied tensor's data
-        return T.sum_(film_apply(xf, gen(emb.context(1, 2))))
+        return T.sum_(film_apply(xf, gen(emb.context(*ids))))
 
     results["film"] = max(
-        grad_check(lambda t: T.sum_(film_apply(t, gen(emb.context(1, 2)))), xf),
+        grad_check(lambda t: T.sum_(film_apply(t, gen(emb.context(*ids)))), xf),
         grad_check(film_objective, emb.sequence_table),
         grad_check(film_objective, gen.head.weight),
     )

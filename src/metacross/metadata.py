@@ -83,42 +83,44 @@ class ModalityMask:
         return f"ModalityMask({'+'.join(names)}, n_tokens={self.n_tokens})"
 
 
-def build_mask(available, n_tokens: int) -> ModalityMask:
-    """Availability flags in canonical order -> mask with its additive matrix."""
-    if n_tokens <= 0:
-        raise ShapeError(f"n_tokens must be positive, got {n_tokens}")
-    return ModalityMask(available, n_tokens)
-
-
 @dataclass
 class MetadataContext:
-    """Sequence and plane identifiers with their learned embeddings."""
+    """Sequence and plane identifiers with their learned embeddings, one row per sample."""
 
-    sequence: int
-    plane: int
-    sequence_embedding: Tensor
-    plane_embedding: Tensor
+    sequence: tuple[int, ...]
+    plane: tuple[int, ...]
+    sequence_embedding: Tensor  # [rows, 16]
+    plane_embedding: Tensor  # [rows, 16]
 
     def __post_init__(self):
+        want = (len(self.sequence), CONTEXT_EMBED_DIM)
         for field, emb in (("sequence", self.sequence_embedding), ("plane", self.plane_embedding)):
-            if emb.shape != (CONTEXT_EMBED_DIM,):
-                raise ShapeError(f"{field} embedding must have shape ({CONTEXT_EMBED_DIM},), got {emb.shape}")
+            if emb.shape != want:
+                raise ShapeError(f"{field} embedding must have shape {want}, got {emb.shape}")
 
 
 @dataclass
 class FilmParams:
-    """Per-channel multiplicative (gamma) and additive (beta) modulation."""
+    """Per-channel multiplicative (gamma) and additive (beta) modulation.
+
+    Shapes are ``[rows, C]``, one row per sample or one row shared by the
+    whole batch; a rank-1 ``[C]`` pair is one shared row.
+    """
 
     gamma: Tensor
     beta: Tensor
 
     def __post_init__(self):
-        if self.gamma.ndim != 1 or self.gamma.shape != self.beta.shape:
-            raise ShapeError(f"gamma {self.gamma.shape} and beta {self.beta.shape} must be equal rank-1 shapes")
+        if self.gamma.ndim not in (1, 2) or self.gamma.shape != self.beta.shape:
+            raise ShapeError(f"gamma {self.gamma.shape} and beta {self.beta.shape} must be equal [C] or [rows, C] shapes")
 
     @property
     def channels(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
+
+    @property
+    def rows(self) -> int:
+        return self.gamma.shape[0] if self.gamma.ndim == 2 else 1
 
 
 class MetadataEmbeddings(Module):
@@ -134,14 +136,17 @@ class MetadataEmbeddings(Module):
         self.sequence_table = parameter(rng, (self.n_sequences, CONTEXT_EMBED_DIM), 0.5)
         self.plane_table = parameter(rng, (self.n_planes, CONTEXT_EMBED_DIM), 0.5)
 
-    def context(self, sequence: int, plane: int) -> MetadataContext:
-        if not (0 <= sequence < self.n_sequences):
-            raise ConfigError(f"sequence id {sequence} outside [0, {self.n_sequences})")
-        if not (0 <= plane < self.n_planes):
-            raise ConfigError(f"plane id {plane} outside [0, {self.n_planes})")
-        seq = T.reshape(T.take_rows(self.sequence_table, [sequence]), (CONTEXT_EMBED_DIM,))
-        pl = T.reshape(T.take_rows(self.plane_table, [plane]), (CONTEXT_EMBED_DIM,))
-        return MetadataContext(sequence, plane, seq, pl)
+    def context(self, sequence, plane) -> MetadataContext:
+        """Embeddings of one (sequence, plane) id pair, or of equal-length id lists."""
+        seq, pl = np.atleast_1d(sequence), np.atleast_1d(plane)
+        if seq.ndim != 1 or seq.shape != pl.shape or seq.size == 0:
+            raise ShapeError(f"need one id pair or equal-length id lists, got shapes {seq.shape} and {pl.shape}")
+        for field, ids, n in (("sequence", seq, self.n_sequences), ("plane", pl, self.n_planes)):
+            bad = ids[(ids < 0) | (ids >= n)]
+            if bad.size:
+                raise ConfigError(f"{field} id {bad[0]} outside [0, {n})")
+        return MetadataContext(tuple(seq.tolist()), tuple(pl.tolist()),
+                               T.take_rows(self.sequence_table, seq), T.take_rows(self.plane_table, pl))
 
 
 class FilmGenerator(Module):
@@ -161,16 +166,11 @@ class FilmGenerator(Module):
         # start near identity so modulation grows only as training asks for it
         self.head.weight.data *= 0.1
 
-    def params_for(self, ctx: MetadataContext, target_channels: int | None = None) -> FilmParams:
-        if target_channels is not None and target_channels != self.channels:
-            raise ConfigError(
-                f"film generator emits {self.channels} channels but {target_channels} were requested")
-        context = T.reshape(T.concat([ctx.sequence_embedding, ctx.plane_embedding], axis=0), (1, FILM_CONTEXT_DIM))
-        h = T.relu(self.hidden(context))
-        both = self.head(h)  # [1, 2C]
-        gamma = T.reshape(T.narrow(both, 1, 0, self.channels), (self.channels,))
-        beta = T.reshape(T.narrow(both, 1, self.channels, self.channels), (self.channels,))
-        return FilmParams(gamma, beta)
+    def params_for(self, ctx: MetadataContext) -> FilmParams:
+        """Gamma and beta, ``[rows, channels]`` each, one row per context row."""
+        context = T.concat([ctx.sequence_embedding, ctx.plane_embedding], axis=1)  # [rows, 32]
+        both = self.head(T.relu(self.hidden(context)))  # [rows, 2C]
+        return FilmParams(T.narrow(both, 1, 0, self.channels), T.narrow(both, 1, self.channels, self.channels))
 
     def __call__(self, ctx: MetadataContext) -> FilmParams:
         return self.params_for(ctx)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
@@ -77,56 +77,40 @@ class Linear(Module):
         return [LayerCost(name, "linear", params, linear_flops(n, self.in_features, self.out_features, self.bias is not None))]
 
 
-class Conv2d(Module):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, padding: int = 0,
+class Conv(Module):
+    """Convolution over ``rank`` (2 or 3) spatial axes with a cubic kernel."""
+
+    def __init__(self, rank: int, in_ch: int, out_ch: int, kernel: int, stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
+        if rank not in (2, 3):
+            raise ConfigError(f"convolutions have rank 2 or 3, got {rank}")
+        self.rank = int(rank)
         self.in_ch, self.out_ch = int(in_ch), int(out_ch)
         self.kernel, self.stride, self.padding = int(kernel), int(stride), int(padding)
-        fan_in = self.in_ch * self.kernel ** 2
-        self.weight = parameter(rng, (self.out_ch, self.in_ch, self.kernel, self.kernel), 1.0 / np.sqrt(fan_in))
+        fan_in = self.in_ch * self.kernel ** self.rank
+        self.weight = parameter(rng, (self.out_ch, self.in_ch) + (self.kernel,) * self.rank, 1.0 / np.sqrt(fan_in))
         self.bias = Tensor(np.zeros(self.out_ch), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        # looked up per call, so a wrapper swapped into the tensor module sees every conv
+        op = T.conv2d if self.rank == 2 else T.conv3d
+        return op(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def output_extent(self, extent: int) -> int:
         return T.conv_output_extent(extent, self.kernel, self.stride, self.padding)
 
-    def cost_rows(self, input_shape: tuple[int, ...], name: str = "conv2d"):
+    def cost_rows(self, input_shape: tuple[int, ...], name: str | None = None):
         from .complexity import LayerCost, conv_flops
 
-        _, _, h, w = input_shape
-        oh, ow = self.output_extent(h), self.output_extent(w)
+        if len(input_shape) != 2 + self.rank:
+            raise ShapeError(f"conv{self.rank}d cost: input {input_shape} is not [batch, ch, {self.rank} spatial axes]")
+        positions = input_shape[0]
+        for extent in input_shape[2:]:
+            positions *= self.output_extent(extent)
         params = self.weight.size + self.bias.size
-        flops = conv_flops(input_shape[0] * oh * ow, self.out_ch, self.in_ch, self.kernel ** 2, bias=True)
-        return [LayerCost(name, "conv", params, flops)]
-
-
-class Conv3d(Module):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_ch, self.out_ch = int(in_ch), int(out_ch)
-        self.kernel, self.stride, self.padding = int(kernel), int(stride), int(padding)
-        fan_in = self.in_ch * self.kernel ** 3
-        self.weight = parameter(rng, (self.out_ch, self.in_ch, self.kernel, self.kernel, self.kernel), 1.0 / np.sqrt(fan_in))
-        self.bias = Tensor(np.zeros(self.out_ch), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv3d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def output_extent(self, extent: int) -> int:
-        return T.conv_output_extent(extent, self.kernel, self.stride, self.padding)
-
-    def cost_rows(self, input_shape: tuple[int, ...], name: str = "conv3d"):
-        from .complexity import LayerCost, conv_flops
-
-        _, _, d, h, w = input_shape
-        od, oh, ow = (self.output_extent(e) for e in (d, h, w))
-        params = self.weight.size + self.bias.size
-        flops = conv_flops(input_shape[0] * od * oh * ow, self.out_ch, self.in_ch, self.kernel ** 3, bias=True)
-        return [LayerCost(name, "conv", params, flops)]
+        flops = conv_flops(positions, self.out_ch, self.in_ch, self.kernel ** self.rank, bias=True)
+        return [LayerCost(name or f"conv{self.rank}d", "conv", params, flops)]
 
 
 class LayerNorm(Module):
@@ -146,26 +130,6 @@ class LayerNorm(Module):
         for e in input_shape:
             n *= e
         return [LayerCost(name, "norm", 2 * self.width, LN_FLOPS_PER_ELEMENT * n)]
-
-
-class Sequential(Module):
-    """Chain of modules; cost rows concatenate in order."""
-
-    def __init__(self, layers: list[Module]):
-        self.layers = list(layers)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def cost_rows(self, input_shape: tuple[int, ...], name: str = "sequential"):
-        rows = []
-        shape = tuple(input_shape)
-        for i, layer in enumerate(self.layers):
-            rows.extend(layer.cost_rows(shape, name=f"{name}.{i}"))
-            shape = layer.output_shape(shape) if hasattr(layer, "output_shape") else shape
-        return rows
 
 
 def global_grad_norm(params: list[Tensor]) -> float:

@@ -157,11 +157,10 @@ def generate_cls_phantoms(spec: PhantomSpec, slices_per_volume: int = 3) -> list
         half = slices_per_volume // 2
         for dz in range(-half, -half + slices_per_volume):
             z = min(max(center_z + dz, 0), spec.extent - 1)
-            label = int(truth[z].sum() >= MIN_LESION_PIXELS)
-            samples.append(ClsSample(volume[z][None].copy(), sequence, CLS_PLANE, label))
+            samples.append(ClsSample(volume[z][None].copy(), sequence, CLS_PLANE, slice_label(truth[z])))
     return samples
 
 
 def slice_label(truth_slice: np.ndarray) -> int:
-    """Label rule shared with the generator: 1 iff >= 30 lesion pixels."""
+    """The cls label rule: 1 iff the slice holds >= 30 lesion pixels."""
     return int(int(truth_slice.sum()) >= MIN_LESION_PIXELS)

@@ -18,7 +18,7 @@ from . import tensor as T
 from .attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer, detokenize
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .metadata import MetadataEncoder, ModalityMask, N_MODALITIES
-from .nn import Adam, Conv3d, Module, clip_grad_norm
+from .nn import Adam, Conv, Module, clip_grad_norm
 from .tensor import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"MCKP"
@@ -141,22 +141,22 @@ class SegModel(Module):
         prev = att.embed_dim
         for i, ch in enumerate(cfg.decoder_channels):
             in_ch = prev + (cfg.encoder_channels[-1] if i == cfg.skip_stage else 0)
-            decoder.append(Conv3d(in_ch, ch, kernel=3, stride=1, padding=1, rng=rng))
+            decoder.append(Conv(3, in_ch, ch, kernel=3, stride=1, padding=1, rng=rng))
             prev = ch
         self.decoder = decoder
         if cfg.deep_supervision:
-            self.aux_heads = [Conv3d(ch, cfg.n_seg_classes, kernel=1, rng=rng)
+            self.aux_heads = [Conv(3, ch, cfg.n_seg_classes, kernel=1, rng=rng)
                               for ch in cfg.decoder_channels[:-1]]
         else:
             self.aux_heads = []
-        self.head = Conv3d(prev, cfg.n_seg_classes, kernel=1, rng=rng)
+        self.head = Conv(3, prev, cfg.n_seg_classes, kernel=1, rng=rng)
 
     @staticmethod
-    def _build_stem(cfg: SegConfig, rng: np.random.Generator) -> list[Conv3d]:
+    def _build_stem(cfg: SegConfig, rng: np.random.Generator) -> list[Conv]:
         stem = []
         prev = 1
         for ch in cfg.encoder_channels:
-            stem.append(Conv3d(prev, ch, kernel=3, stride=2, padding=1, rng=rng))
+            stem.append(Conv(3, prev, ch, kernel=3, stride=2, padding=1, rng=rng))
             prev = ch
         return stem
 
@@ -216,7 +216,7 @@ class SegModel(Module):
         return T.reshape(logits, (cfg.n_seg_classes,) + (cfg.extent,) * 3), aux
 
     def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "seg"):
-        from .complexity import LayerCost
+        from .complexity import LayerCost, metadata_encoder_row
 
         cfg = self.cfg
         rows: list[LayerCost] = []
@@ -229,10 +229,8 @@ class SegModel(Module):
                     ext = conv.output_extent(ext)
         rows.extend(self.tokenizer.cost_rows(name=f"{name}.tokenizer"))
         n = cfg.n_tokens
-        rows.append(LayerCost(f"{name}.metadata_encoder", "encoder",
-                              self.meta_encoder.n_parameters(),
-                              2 * (2 * N_MODALITIES * cfg.metadata_embed_dim * cfg.attention.embed_dim
-                                   + N_MODALITIES * cfg.attention.embed_dim)))
+        rows.append(metadata_encoder_row(f"{name}.metadata_encoder", cfg.metadata_embed_dim,
+                                         cfg.attention.embed_dim))
         for i, block in enumerate(self.blocks):
             rows.extend(block.cost_rows(n, name=f"{name}.block{i}"))
         ext = cfg.grid_extent

@@ -91,6 +91,24 @@ def test_film_apply_validates_inputs():
         film_apply(Tensor(np.zeros((1, 5, 4, 4))), params)
 
 
+def test_film_apply_per_sample_rows():
+    x = Tensor(np.ones((2, 2, 1, 1)))
+    params = FilmParams(Tensor([[0.5, 0.5], [-1.0, 0.0]]), Tensor([[0.1, 0.1], [0.0, 2.0]]))
+    out = film_apply(x, params).data.reshape(2, 2)
+    assert np.array_equal(out, [[1.6, 1.6], [0.0, 3.0]])
+
+
+def test_film_apply_rejects_row_count_other_than_one_or_batch():
+    params = FilmParams(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    film_apply(Tensor(np.zeros((2, 3, 4, 4))), params)
+    with pytest.raises(ShapeError, match="2 rows for a batch of 3"):
+        film_apply(Tensor(np.zeros((3, 3, 4, 4))), params)
+    with pytest.raises(ShapeError):
+        film_apply(Tensor(np.zeros((1, 3, 4, 4))), params)
+    with pytest.raises(ShapeError):
+        FilmParams(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))))
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -109,6 +127,24 @@ def test_forward_shapes_and_min_extent():
         model.forward(Tensor(np.zeros((1, 1, 2, 2))), ctx)
     with pytest.raises(ShapeError):
         model.forward(Tensor(np.zeros((1, 2, 8, 8))), ctx)
+
+
+def test_mixed_metadata_batch_matches_single_slice_forwards():
+    # T1 and T2 slices in one batch, each with its own context, in one forward
+    rng = np.random.default_rng(9)
+    model = FilmClassifier(ClassifierConfig(stage_channels=(4, 8, 16), film_stages=(1, 2)),
+                           rng=np.random.default_rng(10))
+    images = rng.normal(size=(5, 1, 8, 8))
+    sequences, planes = [2, 3, 3, 2, 2], [0, 0, 1, 2, 0]
+    batched = model.forward(Tensor(images), model.context(sequences, planes)).data
+    single = np.concatenate([model.forward(Tensor(images[i:i + 1]), model.context(seq, plane)).data
+                             for i, (seq, plane) in enumerate(zip(sequences, planes))])
+    assert batched.shape == (5, 2)
+    assert np.max(np.abs(batched - single)) <= 1e-12
+    # a per-sample context is not a shared one: swapping two samples' metadata moves their logits
+    swapped = model.forward(Tensor(images), model.context([3, 2, 3, 2, 2], planes)).data
+    assert not np.array_equal(swapped[:2], batched[:2])
+    assert np.array_equal(swapped[2:], batched[2:])
 
 
 def test_zeroed_generators_match_film_disabled():

@@ -23,10 +23,10 @@ from metacross.complexity import (
     reduction_pct,
     render_comparison_csv,
     render_comparison_text,
-    render_cost_csv,
 )
 from metacross.errors import ConfigError, ShapeError
-from metacross.nn import Conv2d, Linear
+from metacross.nn import Conv, Linear
+from metacross.segmentation import SegConfig, SegModel
 
 
 def test_counting_constants():
@@ -50,7 +50,7 @@ def test_count_params_and_flops_on_layers():
     assert count_params(lin) == 32 * 64 + 64
     assert count_flops(lin, (10, 32)) == linear_flops(10, 32, 64, bias=True)
 
-    conv = Conv2d(3, 8, kernel=3, stride=2, padding=1, rng=np.random.default_rng(1))
+    conv = Conv(2, 3, 8, kernel=3, stride=2, padding=1, rng=np.random.default_rng(1))
     assert count_params(conv) == 8 * 3 * 9 + 8
     # 16x16 input halves to 8x8: 64 output positions per batch item
     assert count_flops(conv, (2, 3, 16, 16)) == conv_flops(2 * 64, 8, 3, 9, bias=True)
@@ -115,6 +115,28 @@ def test_reference_totals_match_component_sums():
     assert by_name["layer0.attend"].flops == 4 * n * m * d + 5 * n * m
 
 
+@pytest.mark.parametrize("n_layers, direct_patch", [(1, False), (2, False), (1, True)])
+def test_seg_model_rows_match_bottleneck_rows(n_layers, direct_patch):
+    # the model's own cost table and the stand-in agree at matched geometry
+    att = AttentionConfig(embed_dim=8, patch_size=2, ffn_hidden=12, n_layers=n_layers)
+    cfg = SegConfig(extent=16, attention=att, encoder_channels=(4,),
+                    decoder_channels=(8,) if direct_patch else (8, 4),
+                    direct_patch=direct_patch, metadata_embed_dim=6)
+    model = SegModel(cfg, rng=np.random.default_rng(0))
+    seg = {r.name: r for r in model.cost_rows()}
+    matched = BottleneckConfig(kind="metadata_cross", embed_dim=8, input_extent=16, patch_size=2,
+                               encoder_downsamples=0 if direct_patch else 1, ffn_hidden=12,
+                               n_layers=n_layers, metadata_embed_dim=6)
+    assert matched.n_tokens == cfg.n_tokens
+    for row in bottleneck_rows(matched):
+        layer, part = row.name.split(".")
+        # the model builds one dictionary for all its layers
+        name = "seg.metadata_encoder" if part == "metadata_encoder" else f"seg.block{layer[5:]}.{part}"
+        assert (seg[name].kind, seg[name].params, seg[name].flops) == (row.kind, row.params, row.flops)
+    # the formulas count exactly the parameters the modules hold
+    assert sum(r.params for r in seg.values()) == count_params(model)
+
+
 def test_reduction_percentages():
     cmp = compare_bottlenecks(BottleneckConfig(kind="self_attention"),
                               BottleneckConfig(kind="metadata_cross"))
@@ -151,19 +173,6 @@ def test_compare_requires_matched_geometry():
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def test_render_cost_csv_schema():
-    report = ComplexityReport([LayerCost("a", "linear", 10, 100),
-                               LayerCost("b", "norm", 2, 20)])
-    got = render_cost_csv(report)
-    lines = got.strip().split("\n")
-    assert lines[0] == REPORT_HEADER
-    assert lines[1] == "layer,kind,params,flops"
-    assert lines[2] == "a,linear,10,100"
-    assert lines[3] == "b,norm,2,20"
-    assert lines[4] == "total,total,12,120"
-    assert got.endswith("\n")
 
 
 def test_render_comparison_csv_schema():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from metacross.cli import main
 from metacross.configfile import SCHEMAS, load_config, parse_flat, validate_config
 from metacross.errors import ConfigError
 
@@ -119,3 +120,15 @@ def test_load_config_none_means_defaults():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(tmp_path / "absent.cfg", "seg")
+
+
+def test_cls_rejects_checkpoint_key(tmp_path, capsys):
+    # nothing in train-cls or probe-permutation reads a checkpoint, so the key is unknown
+    assert "checkpoint" not in SCHEMAS["cls"]
+    assert "checkpoint" in SCHEMAS["seg"]  # sweep loads one
+    path = tmp_path / "cls.cfg"
+    path.write_text("checkpoint = model.ckpt\n")
+    for command in ("train-cls", "probe-permutation"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "unknown config key 'checkpoint' for task 'cls'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
+from metacross.classifier import film_apply
 from metacross.errors import ConfigError, NoModalityError, ShapeError
 from metacross.metadata import (
     CONTEXT_EMBED_DIM,
@@ -17,7 +18,6 @@ from metacross.metadata import (
     MetadataEncoder,
     Modality,
     ModalityMask,
-    build_mask,
 )
 from metacross.tensor import Tape, Tensor
 
@@ -56,14 +56,6 @@ def test_mask_counts_available():
     assert mask.n_available == 2
 
 
-def test_build_mask_validates_token_count():
-    mask = build_mask([True, False, False, True], n_tokens=2)
-    assert mask.available == (True, False, False, True)
-    assert mask.n_tokens == 2
-    with pytest.raises(ShapeError):
-        build_mask([True, False, False, False], n_tokens=0)
-
-
 def test_additive_mask_values():
     mask = ModalityMask((True, False, True, False), n_tokens=3)
     add = mask.additive
@@ -95,19 +87,27 @@ def test_mask_resize_and_equality():
 
 
 def test_metadata_context_validates_embedding_shapes():
-    good = Tensor(np.zeros(CONTEXT_EMBED_DIM))
-    bad = Tensor(np.zeros(CONTEXT_EMBED_DIM + 1))
-    MetadataContext(sequence=0, plane=1, sequence_embedding=good, plane_embedding=good)
+    good = Tensor(np.zeros((2, CONTEXT_EMBED_DIM)))
+    wide = Tensor(np.zeros((2, CONTEXT_EMBED_DIM + 1)))
+    MetadataContext(sequence=(0, 2), plane=(1, 1), sequence_embedding=good, plane_embedding=good)
     with pytest.raises(ShapeError):
-        MetadataContext(sequence=0, plane=1, sequence_embedding=good, plane_embedding=bad)
+        MetadataContext(sequence=(0, 2), plane=(1, 1), sequence_embedding=good, plane_embedding=wide)
+    with pytest.raises(ShapeError):  # one row per id
+        MetadataContext(sequence=(0,), plane=(1,), sequence_embedding=good, plane_embedding=good)
 
 
 def test_embeddings_context_reads_tables():
     emb = MetadataEmbeddings(rng=np.random.default_rng(0))
     ctx = emb.context(sequence=2, plane=1)
-    assert np.array_equal(ctx.sequence_embedding.data, emb.sequence_table.data[2])
-    assert np.array_equal(ctx.plane_embedding.data, emb.plane_table.data[1])
-    assert ctx.sequence == 2 and ctx.plane == 1
+    assert ctx.sequence_embedding.shape == (1, CONTEXT_EMBED_DIM)
+    assert np.array_equal(ctx.sequence_embedding.data[0], emb.sequence_table.data[2])
+    assert np.array_equal(ctx.plane_embedding.data[0], emb.plane_table.data[1])
+    assert ctx.sequence == (2,) and ctx.plane == (1,)
+
+    batch = emb.context(sequence=[3, 2, 3], plane=[0, 1, 2])
+    assert batch.sequence == (3, 2, 3) and batch.plane == (0, 1, 2)
+    assert np.array_equal(batch.sequence_embedding.data, emb.sequence_table.data[[3, 2, 3]])
+    assert np.array_equal(batch.plane_embedding.data, emb.plane_table.data[[0, 1, 2]])
 
 
 def test_embeddings_reject_bad_ids():
@@ -118,6 +118,12 @@ def test_embeddings_reject_bad_ids():
         emb.context(sequence=0, plane=3)
     with pytest.raises(ConfigError):
         emb.context(sequence=-1, plane=0)
+    with pytest.raises(ConfigError, match="sequence id 5"):
+        emb.context(sequence=[0, 5], plane=[0, 0])
+    with pytest.raises(ShapeError, match="equal-length"):
+        emb.context(sequence=[0, 1], plane=[0])
+    with pytest.raises(ShapeError):
+        emb.context(sequence=[], plane=[])
 
 
 def test_embeddings_deterministic_per_seed():
@@ -150,18 +156,19 @@ def test_film_generator_split_order_gamma_then_beta():
     rng = np.random.default_rng(3)
     gen = FilmGenerator(channels=5, rng=rng)
     emb = MetadataEmbeddings(rng=rng)
-    ctx = emb.context(sequence=1, plane=2)
+    ctx = emb.context(sequence=[1, 3], plane=[2, 0])
     params = gen.params_for(ctx)
-    assert params.gamma.shape == (5,)
-    assert params.beta.shape == (5,)
-    assert params.channels == 5
+    assert params.gamma.shape == (2, 5)
+    assert params.beta.shape == (2, 5)
+    assert params.channels == 5 and params.rows == 2
 
-    # oracle: run the two linear layers by hand and split the 2C vector
-    context = np.concatenate([ctx.sequence_embedding.data, ctx.plane_embedding.data])
-    h = np.maximum(context @ gen.hidden.weight.data + gen.hidden.bias.data, 0.0)
-    raw = h @ gen.head.weight.data + gen.head.bias.data
-    assert np.allclose(params.gamma.data, raw[:5], atol=1e-15)
-    assert np.allclose(params.beta.data, raw[5:], atol=1e-15)
+    # oracle: run the two linear layers by hand on each row and split the 2C vector
+    for row, (seq, plane) in enumerate([(1, 2), (3, 0)]):
+        context = np.concatenate([emb.sequence_table.data[seq], emb.plane_table.data[plane]])
+        h = np.maximum(context @ gen.hidden.weight.data + gen.hidden.bias.data, 0.0)
+        raw = h @ gen.head.weight.data + gen.head.bias.data
+        assert np.allclose(params.gamma.data[row], raw[:5], atol=1e-15)
+        assert np.allclose(params.beta.data[row], raw[5:], atol=1e-15)
 
 
 def test_film_generator_zero_collapses_output():
@@ -184,8 +191,9 @@ def test_params_for_channel_mismatch():
     rng = np.random.default_rng(5)
     gen = FilmGenerator(channels=4, rng=rng)
     emb = MetadataEmbeddings(rng=rng)
-    with pytest.raises(ConfigError, match="4 channels but 7"):
-        gen.params_for(emb.context(sequence=0, plane=0), target_channels=7)
+    params = gen.params_for(emb.context(sequence=0, plane=0))
+    with pytest.raises(ConfigError, match="4 channels but the feature map has 7"):
+        film_apply(Tensor(np.zeros((1, 7, 2, 2))), params)
 
 
 def test_film_generator_gradients_flow_to_tables():
@@ -202,6 +210,19 @@ def test_film_generator_gradients_flow_to_tables():
     assert np.any(emb.sequence_table.grad[1] != 0.0)
     assert np.all(emb.sequence_table.grad[0] == 0.0)  # unused id stays untouched
     assert gen.head.weight.grad is not None
+
+
+def test_only_used_embedding_rows_get_gradients():
+    rng = np.random.default_rng(6)
+    gen = FilmGenerator(channels=3, rng=rng)
+    emb = MetadataEmbeddings(rng=rng)
+    with Tape() as tape:
+        params = gen.params_for(emb.context(sequence=[1, 3, 1], plane=[2, 2, 2]))
+        tape.backward(T.sum_(T.add(T.mul(params.gamma, params.gamma), params.beta)))
+    used_seq = np.any(emb.sequence_table.grad != 0.0, axis=1)
+    used_plane = np.any(emb.plane_table.grad != 0.0, axis=1)
+    assert used_seq.tolist() == [False, True, False, True]
+    assert used_plane.tolist() == [False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
+from metacross.errors import ConfigError, ShapeError
 from metacross.nn import (
     Adam,
-    Conv2d,
-    Conv3d,
+    Conv,
     LayerNorm,
     Linear,
     Module,
-    Sequential,
     clip_grad_norm,
     global_grad_norm,
     parameter,
@@ -67,18 +66,35 @@ def test_linear_without_bias():
 
 def test_conv_modules_wrap_tensor_ops():
     rng = np.random.default_rng(7)
-    conv = Conv2d(2, 3, kernel=3, stride=2, padding=1, rng=np.random.default_rng(8))
+    conv = Conv(2, 2, 3, kernel=3, stride=2, padding=1, rng=np.random.default_rng(8))
     x = Tensor(rng.normal(size=(1, 2, 8, 8)))
     got = conv(x)
     want = T.conv2d(x, conv.weight, conv.bias, stride=2, padding=1)
     assert np.array_equal(got.data, want.data)
     assert conv.output_extent(8) == 4
 
-    conv3 = Conv3d(1, 2, kernel=3, stride=2, padding=1, rng=np.random.default_rng(9))
+    conv3 = Conv(3, 1, 2, kernel=3, stride=2, padding=1, rng=np.random.default_rng(9))
     v = Tensor(rng.normal(size=(1, 1, 6, 6, 6)))
     got3 = conv3(v)
     want3 = T.conv3d(v, conv3.weight, conv3.bias, stride=2, padding=1)
     assert np.array_equal(got3.data, want3.data)
+    assert [n for n, _ in conv3.named_parameters()] == ["weight", "bias"]
+    assert conv3.weight.shape == (2, 1, 3, 3, 3)
+
+
+def test_conv_looks_up_its_op_per_call(monkeypatch):
+    conv = Conv(3, 1, 1, kernel=1, rng=np.random.default_rng(10))
+    calls = []
+    monkeypatch.setattr(T, "conv3d", lambda *args, **kwargs: calls.append(args) or args[0])
+    conv(Tensor(np.zeros((1, 1, 2, 2, 2))))
+    assert len(calls) == 1
+
+
+def test_conv_rejects_bad_rank_and_cost_shape():
+    with pytest.raises(ConfigError, match="rank 2 or 3"):
+        Conv(1, 1, 1, kernel=1)
+    with pytest.raises(ShapeError):
+        Conv(2, 1, 1, kernel=1).cost_rows((1, 1, 4, 4, 4))
 
 
 def test_layer_norm_module_defaults():
@@ -88,16 +104,6 @@ def test_layer_norm_module_defaults():
     rng = np.random.default_rng(10)
     x = Tensor(rng.normal(size=(3, 6)))
     assert np.array_equal(ln(x).data, T.layer_norm(x, ln.gain, ln.bias).data)
-
-
-def test_sequential_chains_in_order():
-    rng = np.random.default_rng(11)
-    seq = Sequential([Linear(4, 5, rng=np.random.default_rng(12)),
-                      Linear(5, 2, rng=np.random.default_rng(13))])
-    x = Tensor(rng.normal(size=(3, 4)))
-    want = seq.layers[1](seq.layers[0](x))
-    assert np.array_equal(seq(x).data, want.data)
-    assert len(seq.named_parameters()) == 4
 
 
 # ---------------------------------------------------------------------------
