@@ -8,7 +8,7 @@ experiment harness round out the package.
 """
 
 from .attention import (AttentionConfig, CrossAttentionBlock, PatchTokenizer,
-                        TokenGrid, attention_flops, detokenize)
+                        attention_flops)
 from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
                          evaluate_accuracy, film_apply, gamma_statistics,
                          permutation_probe)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .metadata import MetadataEncoder, ModalityMask, N_MODALITIES
+from .metadata import ModalityMask, N_MODALITIES
 from .nn import LayerNorm, Linear, Module, parameter
 from .tensor import Tensor
 
@@ -45,27 +45,6 @@ class AttentionConfig:
             raise ConfigError(f"n_layers must be positive, got {self.n_layers}")
 
 
-@dataclass
-class TokenGrid:
-    """Token matrix plus the 3D grid it was lifted from."""
-
-    tokens: Tensor
-    grid_extent: tuple[int, int, int]
-
-    def __post_init__(self):
-        d, h, w = self.grid_extent
-        if d * h * w != self.tokens.shape[0]:
-            raise ShapeError(f"grid {self.grid_extent} holds {d * h * w} cells but tokens have {self.tokens.shape[0]} rows")
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[1]
-
-
 class PatchTokenizer(Module):
     """Partition a volume into cubic patches and project each to a token.
 
@@ -90,7 +69,8 @@ class PatchTokenizer(Module):
         self.proj = Linear(patch_len, cfg.embed_dim, rng=rng)
         self.positional = parameter(rng, (self.n_tokens, cfg.embed_dim), 0.02)
 
-    def __call__(self, volume: Tensor) -> TokenGrid:
+    def __call__(self, volume: Tensor) -> Tensor:
+        """[channels, d, h, w] to [n_tokens, embed_dim]; rows follow the patch grid in row-major order."""
         if volume.ndim != 4:
             raise ShapeError(f"tokenizer expects [channels, d, h, w], got {volume.shape}")
         if volume.shape[0] != self.in_channels or volume.shape[1:] != self.extent:
@@ -102,8 +82,7 @@ class PatchTokenizer(Module):
         x = T.reshape(volume, (c, gd, p, gh, p, gw, p))
         x = T.transpose(x, (1, 3, 5, 0, 2, 4, 6))  # [gd, gh, gw, c, p, p, p]
         patches = T.reshape(x, (self.n_tokens, c * p ** 3))
-        tokens = T.add(self.proj(patches), self.positional)
-        return TokenGrid(tokens, self.grid)
+        return T.add(self.proj(patches), self.positional)
 
     def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "tokenizer"):
         from .complexity import LayerCost, linear_flops
@@ -114,19 +93,12 @@ class PatchTokenizer(Module):
         return [LayerCost(name, "tokenizer", params, flops)]
 
 
-def detokenize(grid: TokenGrid) -> Tensor:
-    """Tokens [N x D] back to a [D x d x h x w] feature volume (row-major)."""
-    d, h, w = grid.grid_extent
-    width = grid.width
-    return T.reshape(T.transpose(grid.tokens, (1, 0)), (width, d, h, w))
-
-
 class CrossAttentionBlock(Module):
     """One enrichment layer: masked cross-attention, then norm and FFN.
 
     Layout (post-norm): ``h = LN1(Q + A @ V)`` with A the masked softmax of
     Q K^T / sqrt(D), then ``out = LN2(h + FFN(h))`` with a two-layer
-    GELU feed-forward. Output shape equals input shape.
+    GELU feed-forward. Queries and output are both [N, D] token rows.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator | None = None):
@@ -149,15 +121,10 @@ class CrossAttentionBlock(Module):
         weights = T.masked_softmax_rows(scores, mask.additive)
         return T.add(q, T.matmul(weights, values))
 
-    def forward_tokens(self, q: Tensor, keys: Tensor, values: Tensor, mask: ModalityMask) -> Tensor:
-        enriched = self.enrich(q, keys, values, mask)
-        h = self.norm_attn(enriched)
+    def __call__(self, q: Tensor, keys: Tensor, values: Tensor, mask: ModalityMask) -> Tensor:
+        h = self.norm_attn(self.enrich(q, keys, values, mask))
         ffn = self.ffn_out(T.gelu(self.ffn_in(h)))
         return self.norm_ffn(T.add(h, ffn))
-
-    def __call__(self, grid: TokenGrid, keys: Tensor, values: Tensor, mask: ModalityMask) -> TokenGrid:
-        out = self.forward_tokens(grid.tokens, keys, values, mask)
-        return TokenGrid(out, grid.grid_extent)
 
     def cost_rows(self, n_tokens: int, name: str = "cross_attention"):
         from .complexity import attention_layer_rows

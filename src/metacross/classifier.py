@@ -117,11 +117,6 @@ class FilmClassifier(Module):
     def __call__(self, image: Tensor, ctx: MetadataContext) -> Tensor:
         return self.forward(image, ctx)
 
-    def predict(self, sample: ClsSample) -> int:
-        ctx = self.context(sample.sequence, sample.plane)
-        logits = self.forward(Tensor(sample.image[None]), ctx)
-        return int(np.argmax(logits.data[0]))
-
     def cost_rows(self, input_shape: tuple[int, ...], name: str = "classifier"):
         from .complexity import LayerCost, linear_flops
 

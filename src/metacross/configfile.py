@@ -2,12 +2,13 @@
 
 One assignment per line, ``#`` starts a comment, no sections. Every key is
 validated against the schema of the requested task before any computation
-starts; unknown keys, unparseable values and values below a key's lower
-bound name the offending key.
+starts; unknown keys, unparseable or non-finite values and values outside
+a key's bound name the offending key.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from pathlib import Path
 
@@ -36,11 +37,11 @@ _CONVERTERS = {
     "int_list": _to_int_list,
 }
 
-# lower bounds a value must meet: at least / greater than
+# bounds a value must meet: at least / greater than / one of
 _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
-_BOUND_OPS = {">=": operator.ge, ">": operator.gt}
+_BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed}
 
-# schema entries: key -> (type name, default[, lower bound])
+# schema entries: key -> (type name, default[, bound])
 _COMMON = {
     "seed": ("int", 0),
     "out": ("str", "out"),
@@ -65,12 +66,11 @@ _SEG = {
     "deep_supervision": ("bool", True),
     "ds_decay": ("float", 0.4),
     "ds_decay_epoch_fraction": ("float", 0.5),
-    "gate_missing": ("bool", True),
-    "direct_patch": ("bool", False),
     "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
     "radius_min": ("float", 4.0),
     "radius_max": ("float", 9.0),
-    "availability_training": ("str", "shared"),
+    # one value left; the key stays so existing configs that set it still load
+    "availability_training": ("str", "shared", ("in", ("shared",))),
     "checkpoint": ("str", ""),
 }
 for _mod, (_bg, _fg, _sigma) in {
@@ -155,6 +155,8 @@ def validate_config(pairs: dict[str, str], task: str) -> dict:
             op, low = spec[2]
             if not _BOUND_OPS[op](values[key], low):
                 raise ConfigError(f"config key {key!r}: {raw!r} must be {op} {low}")
+        if spec[0] == "float" and not math.isfinite(values[key]):
+            raise ConfigError(f"config key {key!r}: {raw!r} is not a finite number")
     return values
 
 

@@ -20,7 +20,6 @@ from .attention import AttentionConfig, CrossAttentionBlock
 from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
                          bootstrap_delta_interval, film_apply,
                          permutation_probe)
-from .errors import ConfigError
 from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
                        MODALITY_NAMES, ModalityMask, N_MODALITIES)
 from .nn import Adam, clip_grad_norm
@@ -51,9 +50,6 @@ class ScenarioResult:
     n_samples: int
     wall_time: float
 
-    def label(self) -> str:
-        return "+".join(MODALITY_NAMES[i] for i, a in enumerate(self.available) if a)
-
 
 def _seeds(master: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(master).spawn(n)]
@@ -79,20 +75,15 @@ def seg_config_from_values(values: dict) -> SegConfig:
                      deep_supervision=values["deep_supervision"],
                      ds_decay=values["ds_decay"],
                      ds_decay_epoch_fraction=values["ds_decay_epoch_fraction"],
-                     gate_missing=values["gate_missing"],
-                     direct_patch=values["direct_patch"],
                      metadata_embed_dim=values["metadata_embed_dim"])
 
 
-def train_segmentation(values: dict, scenarios: list | None = None) -> tuple[SegModel, list[float]]:
-    """Train one shared model under random availability (or a fixed list)."""
-    if values["availability_training"] not in ("shared", "per_scenario"):
-        raise ConfigError(f"availability_training must be 'shared' or 'per_scenario', "
-                          f"got {values['availability_training']!r}")
+def train_segmentation(values: dict) -> tuple[SegModel, list[float]]:
+    """Train one shared model under random availability."""
     data_seed, model_seed, step_seed = _seeds(values["seed"], 3)
     phantoms = generate_seg_phantoms(_phantom_spec(values, values["n_train"], data_seed))
     model = SegModel(seg_config_from_values(values), rng=np.random.default_rng(model_seed))
-    patterns = scenarios if scenarios is not None else enumerate_scenarios()
+    patterns = enumerate_scenarios()
     rng = np.random.default_rng(step_seed)
     optimizer = Adam()
     losses = []
@@ -101,7 +92,7 @@ def train_segmentation(values: dict, scenarios: list | None = None) -> tuple[Seg
         sample = phantoms[int(rng.integers(len(phantoms)))]
         # Oversample the complete pattern: dropping is the augmentation, the
         # full set is the reference case and should not get just 1/15 weight.
-        if len(patterns) > 1 and rng.random() < FULL_PATTERN_BIAS:
+        if rng.random() < FULL_PATTERN_BIAS:
             pattern = patterns[-1]
         else:
             pattern = patterns[int(rng.integers(len(patterns)))]
@@ -131,25 +122,14 @@ def run_sweep(values: dict) -> dict:
         model = SegModel(seg_config_from_values(values))
         load_checkpoint(model, values["checkpoint"])
         losses = []
-    elif values["availability_training"] == "per_scenario":
-        losses = []
-        per_models = []
-        for pattern in enumerate_scenarios():
-            m, l = train_segmentation(values, scenarios=[pattern])
-            per_models.append(m)
-            losses.extend(l)
-        model = None
     else:
         model, losses = train_segmentation(values)
 
     eval_phantoms = generate_seg_phantoms(_phantom_spec(values, values["n_eval"], eval_seed))
-    results = []
-    for i, pattern in enumerate(enumerate_scenarios()):
-        scorer = model if model is not None else per_models[i]
-        results.append(evaluate_scenario(scorer, eval_phantoms, pattern))
+    results = [evaluate_scenario(model, eval_phantoms, p) for p in enumerate_scenarios()]
     average = float(np.mean([r.dice for r in results]))
     return {
-        "model": model if model is not None else per_models[-1],
+        "model": model,
         "results": results,
         "average": average,
         "losses": losses,
@@ -345,7 +325,7 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
 
     def block_objective(_: Tensor) -> T.Tensor:
         k, v = enc.tokens()
-        return T.sum_(block.forward_tokens(q8, k, v, bmask))
+        return T.sum_(block(q8, k, v, bmask))
 
     results["attention_block"] = max(
         grad_check(block_objective, q8),

@@ -25,7 +25,6 @@ FILM_CONTEXT_DIM = 2 * CONTEXT_EMBED_DIM
 FILM_HIDDEN_DIM = 64
 
 N_PLANES = 3  # axial, sagittal, coronal
-PLANE_NAMES = ("axial", "sagittal", "coronal")
 
 
 class Modality(IntEnum):
@@ -33,10 +32,6 @@ class Modality(IntEnum):
     T1C = 1
     T1 = 2
     T2 = 3
-
-    @property
-    def label(self) -> str:
-        return MODALITY_NAMES[int(self)]
 
 
 class ModalityMask:
@@ -56,10 +51,6 @@ class ModalityMask:
         self.available = avail
         self.n_tokens = None if n_tokens is None else int(n_tokens)
         self._additive: Tensor | None = None
-
-    @property
-    def n_available(self) -> int:
-        return sum(self.available)
 
     @property
     def additive(self) -> Tensor:

@@ -3,8 +3,6 @@
 Each modality owns a small conv encoder stem. Stems of missing modalities
 are gated off (skipped entirely), the survivors are summed, tokenized,
 enriched under the availability mask, and decoded back to voxel logits.
-With gating disabled the zero-filled channels flow through, which isolates
-the attention-level protection for ablation.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer, detokenize
+from .attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .metadata import MetadataEncoder, ModalityMask, N_MODALITIES
 from .nn import Adam, Conv, Module, clip_grad_norm
@@ -35,8 +33,6 @@ class SegConfig:
     deep_supervision: bool = True
     ds_decay: float = 0.4
     ds_decay_epoch_fraction: float = 0.5
-    gate_missing: bool = True
-    direct_patch: bool = False
     metadata_embed_dim: int = 16
 
     def __post_init__(self):
@@ -44,8 +40,8 @@ class SegConfig:
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
         if not self.decoder_channels:
             raise ConfigError("decoder needs at least one stage")
-        if not self.direct_patch and not self.encoder_channels:
-            raise ConfigError("encoder channel list is empty; set direct_patch for raw patch projection")
+        if not self.encoder_channels:
+            raise ConfigError("encoder channel list is empty")
         if any(c < 1 for c in self.encoder_channels + self.decoder_channels):
             raise ConfigError("channel counts must be positive")
         if not 0.0 < self.ds_decay <= 1.0:
@@ -68,7 +64,7 @@ class SegConfig:
 
     @property
     def n_encoder_stages(self) -> int:
-        return 0 if self.direct_patch else len(self.encoder_channels)
+        return len(self.encoder_channels)
 
     @property
     def total_downsample(self) -> int:
@@ -90,8 +86,6 @@ class SegConfig:
     def skip_stage(self) -> int | None:
         """Decoder stage whose post-upsample extent matches the fused stem
         features, so they can be concatenated as a skip connection."""
-        if self.direct_patch:
-            return None
         ext = self.grid_extent
         for i in range(len(self.decoder_channels)):
             ext *= 2
@@ -127,14 +121,9 @@ class SegModel(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
         att = cfg.attention
-        if cfg.direct_patch:
-            self.stems = []
-            token_in = N_MODALITIES
-        else:
-            self.stems = [self._build_stem(cfg, rng) for _ in range(N_MODALITIES)]
-            token_in = cfg.encoder_channels[-1]
+        self.stems = [self._build_stem(cfg, rng) for _ in range(N_MODALITIES)]
         e = cfg.encoded_extent
-        self.tokenizer = PatchTokenizer(token_in, (e, e, e), att, rng=rng)
+        self.tokenizer = PatchTokenizer(cfg.encoder_channels[-1], (e, e, e), att, rng=rng)
         self.meta_encoder = MetadataEncoder(cfg.metadata_embed_dim, att.embed_dim, rng=rng)
         self.blocks = [CrossAttentionBlock(att, rng=rng) for _ in range(att.n_layers)]
         decoder = []
@@ -161,22 +150,15 @@ class SegModel(Module):
         return stem
 
     def _encode(self, batch: SegBatch) -> Tensor:
-        """Fuse per-modality features; missing stems never execute when gated."""
+        """Fuse the features of the available modalities; missing stems never execute."""
         cfg = self.cfg
-        volumes = batch.volumes
-        if cfg.direct_patch:
-            if cfg.gate_missing:
-                gate = Tensor(np.where(np.array(batch.mask.available), 1.0, 0.0).reshape(N_MODALITIES, 1, 1, 1))
-                return T.mul(volumes, gate)
-            return volumes
-        use = [i for i in range(N_MODALITIES) if batch.mask.available[i]] if cfg.gate_missing else list(range(N_MODALITIES))
         e = cfg.extent
         # Sum, not mean: a subset's features are then a partial sum of the
         # full set's, so adding a modality adds evidence instead of diluting
         # strong channels with weak ones.  Downstream layer norm bounds scale.
         fused = None
-        for m in use:
-            x = T.reshape(T.narrow(volumes, 0, m, 1), (1, 1, e, e, e))
+        for m in (i for i, ok in enumerate(batch.mask.available) if ok):
+            x = T.reshape(T.narrow(batch.volumes, 0, m, 1), (1, 1, e, e, e))
             for conv in self.stems[m]:
                 x = T.relu(conv(x))
             fused = x if fused is None else T.add(fused, x)
@@ -191,14 +173,14 @@ class SegModel(Module):
             raise ShapeError(f"target label {batch.target.max()} outside [0, {cfg.n_seg_classes})")
 
         fused = self._encode(batch)
-        grid = self.tokenizer(fused)
+        tokens = self.tokenizer(fused)
         keys, values = self.meta_encoder.tokens()
-        mask = batch.mask.resize(grid.n_tokens)
+        mask = batch.mask.resize(cfg.n_tokens)
         for block in self.blocks:
-            grid = block(grid, keys, values, mask)
-        x = detokenize(grid)
+            tokens = block(tokens, keys, values, mask)
+        # token rows are the grid cells in row-major order
         g = cfg.grid_extent
-        x = T.reshape(x, (1, cfg.attention.embed_dim, g, g, g))
+        x = T.reshape(T.transpose(tokens, (1, 0)), (1, cfg.attention.embed_dim, g, g, g))
 
         aux: list[Tensor] = []
         last = len(self.decoder) - 1
@@ -221,12 +203,11 @@ class SegModel(Module):
         cfg = self.cfg
         rows: list[LayerCost] = []
         e = cfg.extent
-        if not cfg.direct_patch:
-            for m, stem in enumerate(self.stems):
-                ext = e
-                for j, conv in enumerate(stem):
-                    rows.extend(conv.cost_rows((1, conv.in_ch, ext, ext, ext), name=f"{name}.stem{m}.{j}"))
-                    ext = conv.output_extent(ext)
+        for m, stem in enumerate(self.stems):
+            ext = e
+            for j, conv in enumerate(stem):
+                rows.extend(conv.cost_rows((1, conv.in_ch, ext, ext, ext), name=f"{name}.stem{m}.{j}"))
+                ext = conv.output_extent(ext)
         rows.extend(self.tokenizer.cost_rows(name=f"{name}.tokenizer"))
         n = cfg.n_tokens
         rows.append(metadata_encoder_row(f"{name}.metadata_encoder", cfg.metadata_embed_dim,

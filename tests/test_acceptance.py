@@ -81,8 +81,8 @@ def test_criterion_2_subset_oracle_equivalence():
         k = rng.normal(size=(N_MODALITIES, d))
         v = rng.normal(size=(N_MODALITIES, d))
 
-        out = block.forward_tokens(Tensor(q), Tensor(k), Tensor(v),
-                                   ModalityMask(pattern, n_tokens=n)).data
+        out = block(Tensor(q), Tensor(k), Tensor(v),
+                    ModalityMask(pattern, n_tokens=n)).data
 
         # reference model assembled from the available dictionary rows only
         logits = q @ k[avail].T / math.sqrt(d)

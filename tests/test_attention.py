@@ -8,9 +8,7 @@ from metacross.attention import (
     AttentionConfig,
     CrossAttentionBlock,
     PatchTokenizer,
-    TokenGrid,
     attention_flops,
-    detokenize,
 )
 from metacross.errors import ConfigError, ShapeError
 from metacross.metadata import MetadataEncoder, ModalityMask
@@ -31,14 +29,6 @@ def test_config_defaults_and_validation():
         AttentionConfig(embed_dim=8, n_layers=0)
     with pytest.raises(ConfigError):
         AttentionConfig(embed_dim=8, ffn_hidden=-1)
-
-
-def test_token_grid_counts_cells():
-    grid = TokenGrid(Tensor(np.zeros((8, 3))), (2, 2, 2))
-    assert grid.n_tokens == 8
-    assert grid.width == 3
-    with pytest.raises(ShapeError):
-        TokenGrid(Tensor(np.zeros((7, 3))), (2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +64,7 @@ def test_tokenizer_matches_patch_oracle():
     cfg = AttentionConfig(embed_dim=5, patch_size=2)
     tok = PatchTokenizer(2, (4, 4, 4), cfg, rng=np.random.default_rng(1))
     vol = rng.normal(size=(2, 4, 4, 4))
-    got = tok(Tensor(vol)).tokens.data
+    got = tok(Tensor(vol)).data
 
     idx = 0
     for i in range(2):
@@ -85,19 +75,6 @@ def test_tokenizer_matches_patch_oracle():
                 want = flat @ tok.proj.weight.data + tok.proj.bias.data + tok.positional.data[idx]
                 assert np.all(np.abs(got[idx] - want) < 1e-12)
                 idx += 1
-
-
-def test_detokenize_restores_grid_layout():
-    rng = np.random.default_rng(17)
-    tokens = Tensor(rng.normal(size=(12, 7)))
-    grid = TokenGrid(tokens, (2, 3, 2))
-    vol = detokenize(grid)
-    assert vol.shape == (7, 2, 3, 2)
-    for i in range(2):
-        for j in range(3):
-            for k in range(2):
-                flat = (i * 3 + j) * 2 + k
-                assert np.array_equal(vol.data[:, i, j, k], tokens.data[flat])
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +156,23 @@ def test_forward_tokens_rows_are_normalized():
     enc = MetadataEncoder(embed_dim=16, model_dim=16, rng=np.random.default_rng(8))
     k, v = enc.tokens()
     q = Tensor(rng.normal(size=(6, 16)))
-    out = block.forward_tokens(q, k, v, ModalityMask((True, False, True, True)))
+    out = block(q, k, v, ModalityMask((True, False, True, True)))
     assert out.shape == (6, 16)
     assert np.all(np.abs(out.data.mean(axis=1)) < 1e-12)
     assert np.all(np.abs(out.data.var(axis=1) - 1.0) < 1e-3)
 
 
 def test_call_preserves_grid_extent():
+    # tokenizer then block: still one row per cell of the 2x3x2 patch grid
     rng = np.random.default_rng(9)
     block = _block(8)
-    grid = TokenGrid(Tensor(rng.normal(size=(8, 8))), (2, 2, 2))
+    tok = PatchTokenizer(3, (4, 6, 4), block.cfg, rng=np.random.default_rng(11))
+    tokens = tok(Tensor(rng.normal(size=(3, 4, 6, 4))))
     enc = MetadataEncoder(embed_dim=16, model_dim=8, rng=np.random.default_rng(10))
     k, v = enc.tokens()
-    out = block(grid, k, v, ModalityMask((True, True, True, True)))
-    assert out.grid_extent == (2, 2, 2)
-    assert out.tokens.shape == (8, 8)
+    out = block(tokens, k, v, ModalityMask((True, True, True, True)))
+    assert tok.grid == (2, 3, 2)
+    assert out.shape == tokens.shape == (12, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,36 @@ def test_zero_batch_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_config_float_names_key(tmp_path, capsys):
+    # nan and inf used to reach the phantoms and exit 2 as a numeric failure
+    for command, line in (("train-seg", "flair_noise = nan"), ("sweep", "t2_lesion = inf")):
+        cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        key = line.split(" = ")[0]
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+    # a finite value that makes training diverge is still a numeric failure
+    cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + "lr = 1e308\n")
+    assert main(["train-seg", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_removed_seg_options_exit_one(tmp_path, capsys):
+    for line in ("direct_patch = true", "gate_missing = false"):
+        cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + line + "\n")
+        assert main(["train-seg", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"unknown config key '{line.split(' = ')[0]}'" in capsys.readouterr().err
+    # rejected at load, so a checkpointed sweep no longer skips the check
+    cfg = _write(tmp_path, "seg.cfg",
+                 MICRO_SEG + "availability_training = per_scenario\ncheckpoint = model.ckpt\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config key 'availability_training'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numeric_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gradcheck_suite", lambda seed: {"matmul": 1.0})
     assert main(["gradcheck"]) == 2

@@ -115,17 +115,17 @@ def test_reference_totals_match_component_sums():
     assert by_name["layer0.attend"].flops == 4 * n * m * d + 5 * n * m
 
 
-@pytest.mark.parametrize("n_layers, direct_patch", [(1, False), (2, False), (1, True)])
-def test_seg_model_rows_match_bottleneck_rows(n_layers, direct_patch):
+@pytest.mark.parametrize("n_layers, deep_supervision", [(1, False), (2, False), (1, True)])
+def test_seg_model_rows_match_bottleneck_rows(n_layers, deep_supervision):
     # the model's own cost table and the stand-in agree at matched geometry
     att = AttentionConfig(embed_dim=8, patch_size=2, ffn_hidden=12, n_layers=n_layers)
-    cfg = SegConfig(extent=16, attention=att, encoder_channels=(4,),
-                    decoder_channels=(8,) if direct_patch else (8, 4),
-                    direct_patch=direct_patch, metadata_embed_dim=6)
+    cfg = SegConfig(extent=16, attention=att, encoder_channels=(4,), decoder_channels=(8, 4),
+                    deep_supervision=deep_supervision, metadata_embed_dim=6)
     model = SegModel(cfg, rng=np.random.default_rng(0))
     seg = {r.name: r for r in model.cost_rows()}
+    assert ("seg.aux0" in seg) == deep_supervision
     matched = BottleneckConfig(kind="metadata_cross", embed_dim=8, input_extent=16, patch_size=2,
-                               encoder_downsamples=0 if direct_patch else 1, ffn_hidden=12,
+                               encoder_downsamples=1, ffn_hidden=12,
                                n_layers=n_layers, metadata_embed_dim=6)
     assert matched.n_tokens == cfg.n_tokens
     for row in bottleneck_rows(matched):

@@ -1,10 +1,15 @@
 """Flat config parsing, schema validation, and file loading."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacross.cli import main
 from metacross.configfile import SCHEMAS, load_config, parse_flat, validate_config
 from metacross.errors import ConfigError
+from metacross.harness import (_cls_phantom_spec, _phantom_spec,
+                               classifier_config_from_values, seg_config_from_values)
 
 
 def test_parse_flat_basics():
@@ -54,13 +59,12 @@ def test_validate_converts_types():
         "seed": "5",
         "lr": "1e-3",
         "deep_supervision": "no",
-        "gate_missing": "on",
         "decoder_channels": "4, 4",
     }, "seg")
     assert values["seed"] == 5
     assert values["lr"] == 1e-3
     assert values["deep_supervision"] is False
-    assert values["gate_missing"] is True
+    assert validate_config({"deep_supervision": "on"}, "seg")["deep_supervision"] is True
     assert values["decoder_channels"] == (4, 4)
 
 
@@ -90,6 +94,29 @@ def test_validate_rejects_values_below_lower_bound():
     # the bounds are inclusive where zero means something
     assert validate_config({"ffn_hidden": "0", "weight_decay": "0"}, "seg")["ffn_hidden"] == 0
     assert validate_config({"encoder_downsamples": "0"}, "complexity")["encoder_downsamples"] == 0
+
+
+def test_validate_rejects_non_finite_floats():
+    with pytest.raises(ConfigError, match="'flair_noise': 'nan' is not a finite number"):
+        validate_config({"flair_noise": "nan"}, "seg")
+    with pytest.raises(ConfigError, match="'t2_lesion': 'inf' is not a finite number"):
+        validate_config({"t2_lesion": "inf"}, "seg")
+    with pytest.raises(ConfigError, match="'radius_max': '-inf' is not a finite number"):
+        validate_config({"radius_max": "-inf"}, "seg")
+    # inf passes the lower bound of lr and is caught by the finiteness check
+    with pytest.raises(ConfigError, match="'lr': 'inf' is not a finite number"):
+        validate_config({"lr": "inf"}, "cls")
+    assert validate_config({"lr": "1e308"}, "seg")["lr"] == 1e308
+
+
+def test_availability_training_accepts_only_shared():
+    assert validate_config({"availability_training": "shared"}, "seg")["availability_training"] == "shared"
+    for bad in ("per_scenario", "both"):
+        with pytest.raises(ConfigError, match=f"'availability_training': '{bad}' must be in"):
+            validate_config({"availability_training": bad}, "seg")
+    # the benchmark's training config sets the key and still loads
+    values = load_config(Path(__file__).resolve().parents[1] / "perfbench/weights/train_seg.cfg", "seg")
+    assert values["availability_training"] == "shared"
 
 
 def test_validate_rejects_unknown_task():
@@ -132,3 +159,34 @@ def test_cls_rejects_checkpoint_key(tmp_path, capsys):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "unknown config key 'checkpoint' for task 'cls'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# property: any assignment either builds the run inputs or is a ValueError
+
+_JUNK = st.sampled_from(["", "x", "1.5", "-0", "99999999999999999999"])
+_RAW = {
+    "int": st.one_of(st.sampled_from([0, 1, 2, 4, 8, 16, 32]), st.integers(-2, 70)).map(str) | _JUNK,
+    "float": st.floats(-20.0, 20.0).map(repr) | st.sampled_from(["nan", "inf", "-inf", "1e308", "0"]) | _JUNK,
+    "bool": st.sampled_from(["true", "off", "yes", "0", "maybe", ""]),
+    "str": st.sampled_from(["shared", "per_scenario", "", "run.ckpt"]),
+    "int_list": st.lists(st.integers(-1, 40), max_size=5).map(lambda xs: ", ".join(map(str, xs))) | _JUNK,
+}
+_BUILD = {
+    "seg": lambda v: (seg_config_from_values(v), _phantom_spec(v, v["n_train"], 0)),
+    "cls": lambda v: (classifier_config_from_values(v), _cls_phantom_spec(v, v["n_train"], 0)),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_BUILD))
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_any_assignment_builds_or_is_value_error(task, data):
+    schema = SCHEMAS[task]
+    keys = data.draw(st.lists(st.sampled_from(sorted(schema)), max_size=6, unique=True))
+    pairs = {k: data.draw(_RAW[schema[k][0]]) for k in keys}
+    try:
+        values = validate_config(pairs, task)
+        _BUILD[task](values)
+    except ValueError:
+        pass

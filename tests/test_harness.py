@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from metacross.configfile import validate_config
-from metacross.errors import ConfigError
 from metacross.harness import (
     FULL_PATTERN_BIAS,
     LESION_CLASS,
@@ -73,11 +72,6 @@ def test_enumerate_scenarios_matches_subset_enumeration():
     assert len(set(got)) == 15
 
 
-def test_scenario_result_label():
-    r = ScenarioResult((True, False, True, False), 0.5, 4, 0.0)
-    assert r.label() == "FLAIR+T1"
-
-
 def test_seg_config_from_values_roundtrip():
     values = _micro_seg_values()
     cfg = seg_config_from_values(values)
@@ -86,12 +80,6 @@ def test_seg_config_from_values_roundtrip():
     assert cfg.attention.ffn_hidden == 32  # 0 in the file means 4x default
     assert cfg.encoder_channels == (4,)
     assert cfg.decoder_channels == (8, 4)
-
-
-def test_train_segmentation_rejects_bad_mode():
-    values = _micro_seg_values(availability_training="both")
-    with pytest.raises(ConfigError, match="'shared' or 'per_scenario'"):
-        train_segmentation(values)
 
 
 def test_train_segmentation_returns_losses():

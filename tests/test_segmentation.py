@@ -63,14 +63,6 @@ def test_default_config_geometry():
     assert cfg.skip_stage == 1
 
 
-def test_direct_patch_geometry():
-    cfg = SegConfig(direct_patch=True, decoder_channels=(16, 8),
-                    attention=AttentionConfig(embed_dim=32, patch_size=4))
-    assert cfg.n_encoder_stages == 0
-    assert cfg.total_downsample == 4
-    assert cfg.skip_stage is None
-
-
 def test_config_rejects_mismatched_decoder_depth():
     with pytest.raises(ConfigError, match="expected 3 stages, got 2"):
         SegConfig(decoder_channels=(16, 8))
@@ -180,16 +172,20 @@ def test_gated_stems_ignore_missing_channels_bitwise():
     assert np.array_equal(logits0.data, logits1.data)
 
 
-def test_ungated_model_sees_all_channels():
-    cfg = _tiny_cfg(gate_missing=False)
-    model = SegModel(cfg, rng=np.random.default_rng(1))
-    available = (True, False, True, False)
-    base = _batch(cfg, seed=2, available=available)
-    logits0, _ = model.forward(base)
-    poked = base.volumes.data.copy()
-    poked[1] += 1000.0
-    logits1, _ = model.forward(SegBatch(Tensor(poked), ModalityMask(available), base.target))
-    assert not np.array_equal(logits0.data, logits1.data)
+def test_forward_lays_tokens_out_on_the_grid():
+    # token row (i*g + j)*g + k becomes grid cell (i, j, k) of the decoder input
+    cfg = _tiny_cfg()
+    model = SegModel(cfg, rng=np.random.default_rng(6))
+    g, d = cfg.grid_extent, cfg.attention.embed_dim
+    tokens = np.random.default_rng(7).normal(size=(cfg.n_tokens, d))
+    model.blocks = [lambda q, keys, values, mask: Tensor(tokens)]
+    seen = []
+    first = model.decoder[0]
+    model.decoder[0] = lambda x: seen.append(x.data.copy()) or first(x)
+    model.forward(_batch(cfg))
+    grid = seen[0][0, :d, ::2, ::2, ::2]  # token channels come first; undo the x2 upsample
+    for i, j, k in np.ndindex(g, g, g):
+        assert np.array_equal(grid[:, i, j, k], tokens[(i * g + j) * g + k])
 
 
 def test_skip_connection_widens_decoder_input():
