@@ -17,9 +17,8 @@ from .complexity import (BottleneckConfig, ComplexityReport, LayerCost,
 from .errors import (CheckpointError, ConfigError, DegenerateMaskError,
                      EmptyInputError, NoModalityError, NumericError,
                      ShapeError)
-from .metadata import (FilmGenerator, FilmParams, MetadataContext,
-                       MetadataEmbeddings, MetadataEncoder, MODALITY_NAMES,
-                       Modality, ModalityMask)
+from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
+                       MODALITY_NAMES, Modality, ModalityMask)
 from .phantoms import (DEFAULT_CONTRASTS, ModalityContrast, PhantomSpec,
                        apply_availability, generate_cls_phantoms,
                        generate_seg_phantoms)

@@ -26,7 +26,6 @@ class AttentionConfig:
 
     embed_dim: int
     patch_size: int = 4
-    n_modalities: int = N_MODALITIES
     ffn_hidden: int | None = None
     n_layers: int = 1
 
@@ -35,8 +34,6 @@ class AttentionConfig:
             raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
         if self.patch_size < 1:
             raise ConfigError(f"patch_size must be positive, got {self.patch_size}")
-        if self.n_modalities != N_MODALITIES:
-            raise ConfigError(f"the modality dictionary is fixed at {N_MODALITIES} entries")
         if self.ffn_hidden is None:
             self.ffn_hidden = 4 * self.embed_dim
         if self.ffn_hidden < 1:
@@ -112,11 +109,10 @@ class CrossAttentionBlock(Module):
 
     def enrich(self, q: Tensor, keys: Tensor, values: Tensor, mask: ModalityMask) -> Tensor:
         """Q + A @ V with availability-masked attention weights."""
-        n, d = q.shape
-        if keys.shape != (self.cfg.n_modalities, d) or values.shape != (self.cfg.n_modalities, d):
+        _, d = q.shape
+        if keys.shape != (N_MODALITIES, d) or values.shape != (N_MODALITIES, d):
             raise ShapeError(
-                f"keys/values must be [{self.cfg.n_modalities} x {d}], got {keys.shape} and {values.shape}")
-        mask = mask.resize(n)
+                f"keys/values must be [{N_MODALITIES} x {d}], got {keys.shape} and {values.shape}")
         scores = T.scale(T.matmul(q, T.transpose(keys, (1, 0))), 1.0 / math.sqrt(d))
         weights = T.masked_softmax_rows(scores, mask.additive)
         return T.add(q, T.matmul(weights, values))
@@ -141,7 +137,7 @@ def attention_flops(cfg: AttentionConfig, n_tokens: int, mode: str) -> int:
     """
     if n_tokens < 1:
         raise ShapeError(f"n_tokens must be positive, got {n_tokens}")
-    n, d, m = int(n_tokens), cfg.embed_dim, cfg.n_modalities
+    n, d, m = int(n_tokens), cfg.embed_dim, N_MODALITIES
     if mode == "self_attention":
         return 2 * n * n * d + 2 * n * n * d
     if mode == "metadata_cross":

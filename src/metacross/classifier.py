@@ -15,20 +15,18 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, EmptyInputError, ShapeError
 from .metadata import (FILM_CONTEXT_DIM, FILM_HIDDEN_DIM, FilmGenerator,
-                       FilmParams, MetadataContext, MetadataEmbeddings,
-                       N_MODALITIES, N_PLANES)
+                       MetadataEmbeddings)
 from .nn import Conv, Linear, Module
 from .tensor import Tensor
+
+IN_CHANNELS = 1  # single-channel slices
+N_CLASSES = 2  # lesion present or absent
 
 
 @dataclass
 class ClassifierConfig:
     stage_channels: tuple[int, ...] = (16, 32, 64, 128)
     film_stages: tuple[int, ...] = (2, 3)
-    n_classes: int = 2
-    in_channels: int = 1
-    n_sequences: int = N_MODALITIES
-    n_planes: int = N_PLANES
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
@@ -37,8 +35,6 @@ class ClassifierConfig:
             raise ConfigError("classifier needs at least one stage")
         if any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"stage channels must be positive, got {self.stage_channels}")
-        if self.n_classes < 2:
-            raise ConfigError(f"need at least two classes, got {self.n_classes}")
         n = len(self.stage_channels)
         bad = [s for s in self.film_stages if not 0 <= s < n]
         if bad:
@@ -53,20 +49,25 @@ class ClassifierConfig:
         return 2 ** len(self.stage_channels)
 
 
-def film_apply(x: Tensor, params: FilmParams) -> Tensor:
+def film_apply(x: Tensor, params: tuple[Tensor, Tensor]) -> Tensor:
     """Residual per-channel modulation of a [batch, C, H, W] feature map.
 
-    ``params`` carries one row shared by the whole batch or one row per sample.
+    ``params`` is a (gamma, beta) pair of equal ``[rows, C]`` shapes, with one
+    row shared by the whole batch or one row per sample.
     """
+    gamma, beta = params
     if x.ndim != 4:
         raise ShapeError(f"film_apply expects [batch, C, H, W], got {x.shape}")
+    if gamma.ndim != 2 or gamma.shape != beta.shape:
+        raise ShapeError(f"gamma {gamma.shape} and beta {beta.shape} must be equal [rows, C] shapes")
     b, c = x.shape[:2]
-    if params.channels != c:
-        raise ConfigError(f"film parameters carry {params.channels} channels but the feature map has {c}")
-    if params.rows not in (1, b):
-        raise ShapeError(f"film parameters carry {params.rows} rows for a batch of {b}; need 1 or {b}")
-    shape = (params.rows, c, 1, 1)
-    return T.add(x, T.add(T.mul(x, T.reshape(params.gamma, shape)), T.reshape(params.beta, shape)))
+    rows, channels = gamma.shape
+    if channels != c:
+        raise ConfigError(f"film parameters carry {channels} channels but the feature map has {c}")
+    if rows not in (1, b):
+        raise ShapeError(f"film parameters carry {rows} rows for a batch of {b}; need 1 or {b}")
+    shape = (rows, c, 1, 1)
+    return T.add(x, T.add(T.mul(x, T.reshape(gamma, shape)), T.reshape(beta, shape)))
 
 
 @dataclass
@@ -85,24 +86,24 @@ class FilmClassifier(Module):
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.cfg = cfg
-        self.embeddings = MetadataEmbeddings(cfg.n_sequences, cfg.n_planes, rng=rng)
+        self.embeddings = MetadataEmbeddings(rng=rng)
         stages = []
-        prev = cfg.in_channels
+        prev = IN_CHANNELS
         for ch in cfg.stage_channels:
             stages.append(Conv(2, prev, ch, kernel=3, stride=2, padding=1, rng=rng))
             prev = ch
         self.stages = stages
         self.film = {str(s): FilmGenerator(cfg.stage_channels[s], rng=rng) for s in cfg.film_stages}
-        self.head = Linear(prev, cfg.n_classes, rng=rng)
+        self.head = Linear(prev, N_CLASSES, rng=rng)
 
-    def context(self, sequence, plane) -> MetadataContext:
-        """Context of one (sequence, plane) id pair, or of equal-length id lists."""
+    def context(self, sequence, plane) -> Tensor:
+        """[rows, 32] context of one (sequence, plane) id pair, or of equal-length id lists."""
         return self.embeddings.context(sequence, plane)
 
-    def forward(self, image: Tensor, ctx: MetadataContext, use_film: bool = True) -> Tensor:
-        """Logits [batch x n_classes]; ``ctx`` has one row shared by the batch or one per sample."""
-        if image.ndim != 4 or image.shape[1] != self.cfg.in_channels:
-            raise ShapeError(f"expected [batch, {self.cfg.in_channels}, H, W], got {image.shape}")
+    def forward(self, image: Tensor, ctx: Tensor, use_film: bool = True) -> Tensor:
+        """Logits [batch x 2]; ``ctx`` has one row shared by the batch or one per sample."""
+        if image.ndim != 4 or image.shape[1] != IN_CHANNELS:
+            raise ShapeError(f"expected [batch, {IN_CHANNELS}, H, W], got {image.shape}")
         h, w = image.shape[2], image.shape[3]
         if h < self.cfg.min_extent or w < self.cfg.min_extent:
             raise ShapeError(f"input {h}x{w} too small for {len(self.stages)} halving stages (min {self.cfg.min_extent})")
@@ -110,11 +111,11 @@ class FilmClassifier(Module):
         for i, conv in enumerate(self.stages):
             x = T.relu(conv(x))
             if use_film and i in self.cfg.film_stages:
-                x = film_apply(x, self.film[str(i)](ctx))
+                x = film_apply(x, self.film[str(i)].params_for(ctx))
         pooled = T.mean(x, axis=(2, 3))
         return self.head(pooled)
 
-    def __call__(self, image: Tensor, ctx: MetadataContext) -> Tensor:
+    def __call__(self, image: Tensor, ctx: Tensor) -> Tensor:
         return self.forward(image, ctx)
 
     def cost_rows(self, input_shape: tuple[int, ...], name: str = "classifier"):
@@ -199,5 +200,5 @@ def gamma_statistics(model: FilmClassifier, samples: list[ClsSample]) -> dict[in
     if not samples:
         raise EmptyInputError("gamma statistics need a non-empty dataset")
     ctx = model.context([s.sequence for s in samples], [s.plane for s in samples])
-    return {stage: float(np.mean(np.abs(model.film[str(stage)](ctx).gamma.data)))
+    return {stage: float(np.mean(np.abs(model.film[str(stage)].params_for(ctx)[0].data)))
             for stage in model.cfg.film_stages}

@@ -111,7 +111,7 @@ def metadata_encoder_row(name: str, embed_dim: int, width: int) -> LayerCost:
 def attention_layer_rows(name: str, att: AttentionConfig, n: int, mode: str) -> list[LayerCost]:
     """Attend (logits, softmax, weighted sum), both layer norms and the GELU FFN of one layer on n tokens."""
     d, f = att.embed_dim, att.ffn_hidden
-    columns = n if mode == "self_attention" else att.n_modalities
+    columns = n if mode == "self_attention" else N_MODALITIES
     return [
         LayerCost(f"{name}.attend", "attention", 0,
                   attention_flops(att, n, mode) + SOFTMAX_FLOPS_PER_ELEMENT * n * columns),

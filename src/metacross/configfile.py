@@ -43,7 +43,7 @@ _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: 
 
 # schema entries: key -> (type name, default[, bound])
 _COMMON = {
-    "seed": ("int", 0),
+    "seed": ("int", 0, _AT_LEAST_0),
     "out": ("str", "out"),
 }
 
@@ -138,25 +138,41 @@ def parse_flat(text: str) -> dict[str, str]:
     return pairs
 
 
-def validate_config(pairs: dict[str, str], task: str) -> dict:
+def _spec(schema: dict, key: str, task: str) -> tuple:
+    if key not in schema:
+        raise ConfigError(f"unknown config key {key!r} for task {task!r}")
+    return schema[key]
+
+
+def _checked(spec: tuple, key: str, value, raw):
+    """``value`` if it meets the key's bound and is finite, else a ConfigError naming the key."""
+    if len(spec) == 3:
+        op, low = spec[2]
+        if not _BOUND_OPS[op](value, low):
+            raise ConfigError(f"config key {key!r}: {raw!r} must be {op} {low}")
+    if spec[0] == "float" and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: {raw!r} is not a finite number")
+    return value
+
+
+def validate_config(pairs: dict[str, str], task: str, overrides: dict | None = None) -> dict:
+    """Schema defaults, replaced by the parsed ``pairs`` and then by the
+    already-typed ``overrides`` (``None`` entries skipped), all checked
+    against the task's schema."""
     if task not in SCHEMAS:
         raise ConfigError(f"unknown task {task!r}; choose from {sorted(SCHEMAS)}")
     schema = SCHEMAS[task]
     values: dict[str, object] = {key: spec[1] for key, spec in schema.items()}
     for key, raw in pairs.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {key!r} for task {task!r}")
-        spec = schema[key]
+        spec = _spec(schema, key, task)
         try:
-            values[key] = _CONVERTERS[spec[0]](raw)
+            value = _CONVERTERS[spec[0]](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {spec[0]}") from exc
-        if len(spec) == 3:
-            op, low = spec[2]
-            if not _BOUND_OPS[op](values[key], low):
-                raise ConfigError(f"config key {key!r}: {raw!r} must be {op} {low}")
-        if spec[0] == "float" and not math.isfinite(values[key]):
-            raise ConfigError(f"config key {key!r}: {raw!r} is not a finite number")
+        values[key] = _checked(spec, key, value, raw)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            values[key] = _checked(_spec(schema, key, task), key, value, value)
     return values
 
 
@@ -170,8 +186,4 @@ def load_config(path: str | Path | None, task: str, overrides: dict | None = Non
         except OSError as exc:
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         pairs = parse_flat(text)
-    values = validate_config(pairs, task)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-    return values
+    return validate_config(pairs, task, overrides)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, CrossAttentionBlock
-from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
-                         bootstrap_delta_interval, film_apply,
+from .classifier import (N_CLASSES, ClassifierConfig, ClsSample,
+                         FilmClassifier, bootstrap_delta_interval, film_apply,
                          permutation_probe)
 from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
                        MODALITY_NAMES, ModalityMask, N_MODALITIES)
@@ -202,7 +202,7 @@ def _cls_loss(model: FilmClassifier, batch: list[ClsSample]) -> T.Tensor:
     """Mean cross entropy over a mixed-metadata batch, one forward with a per-sample context."""
     images = Tensor(np.stack([s.image for s in batch]))
     logits = model.forward(images, model.context([s.sequence for s in batch], [s.plane for s in batch]))
-    onehot = np.zeros((len(batch), model.cfg.n_classes))
+    onehot = np.zeros((len(batch), N_CLASSES))
     onehot[np.arange(len(batch)), [s.label for s in batch]] = 1.0
     return T.scale(T.sum_(T.mul(Tensor(onehot), T.log_softmax(logits, axis=1))), -1.0 / len(batch))
 
@@ -274,7 +274,7 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
 
     patterns = enumerate_scenarios()
     pattern = patterns[int(rng.integers(len(patterns)))]
-    mask = ModalityMask(pattern, n_tokens=6)
+    mask = ModalityMask(pattern)
     v_const = Tensor(rng.uniform(-2, 2, (N_MODALITIES, 3)))
     scores = Tensor(rng.uniform(-2, 2, (6, N_MODALITIES)))
     results["masked_softmax"] = grad_check(
@@ -309,10 +309,10 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
 
     def film_objective(_: Tensor) -> T.Tensor:
         # reads whatever grad_check wrote into the varied tensor's data
-        return T.sum_(film_apply(xf, gen(emb.context(*ids))))
+        return T.sum_(film_apply(xf, gen.params_for(emb.context(*ids))))
 
     results["film"] = max(
-        grad_check(lambda t: T.sum_(film_apply(t, gen(emb.context(*ids)))), xf),
+        grad_check(lambda t: T.sum_(film_apply(t, gen.params_for(emb.context(*ids)))), xf),
         grad_check(film_objective, emb.sequence_table),
         grad_check(film_objective, gen.head.weight),
     )
@@ -321,7 +321,7 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
     block = CrossAttentionBlock(att, rng=np.random.default_rng(int(rng.integers(2 ** 31))))
     enc = MetadataEncoder(4, 4, rng=np.random.default_rng(int(rng.integers(2 ** 31))))
     q8 = Tensor(rng.uniform(-2, 2, (8, 4)))
-    bmask = ModalityMask(patterns[int(rng.integers(len(patterns)))], n_tokens=8)
+    bmask = ModalityMask(patterns[int(rng.integers(len(patterns)))])
 
     def block_objective(_: Tensor) -> T.Tensor:
         k, v = enc.tokens()

@@ -175,9 +175,8 @@ class SegModel(Module):
         fused = self._encode(batch)
         tokens = self.tokenizer(fused)
         keys, values = self.meta_encoder.tokens()
-        mask = batch.mask.resize(cfg.n_tokens)
         for block in self.blocks:
-            tokens = block(tokens, keys, values, mask)
+            tokens = block(tokens, keys, values, batch.mask)
         # token rows are the grid cells in row-major order
         g = cfg.grid_extent
         x = T.reshape(T.transpose(tokens, (1, 0)), (1, cfg.attention.embed_dim, g, g, g))

@@ -121,42 +121,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
 
-    # operator sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 def _record(name: str, out: Tensor, inputs: Iterable[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
     tape = active_tape()
@@ -341,15 +305,17 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def masked_softmax_rows(scores: Tensor, mask: Tensor) -> Tensor:
     """Row-wise softmax of ``scores + mask`` where mask entries are 0 or -inf.
 
-    The row max used for stabilization is taken over available entries only,
+    ``mask`` is one row, broadcast over every row of ``scores``, or one row
+    per score row. The row max used for stabilization is taken over available entries only,
     so masked positions come out as an exact IEEE 0.0 and each row of the
     result sums to 1 over the available set. Masked positions are constants
     for the backward pass. A fully masked row is an error, not a NaN.
     """
     if scores.ndim != 2 or mask.ndim != 2:
         raise ShapeError(f"masked softmax expects rank-2 inputs, got {scores.shape} and {mask.shape}")
-    if scores.shape != mask.shape:
-        raise ShapeError(f"masked softmax: scores {scores.shape} and mask {mask.shape} differ")
+    if mask.shape[1] != scores.shape[1] or mask.shape[0] not in (1, scores.shape[0]):
+        raise ShapeError(f"masked softmax: mask {mask.shape} must be [1 or {scores.shape[0]}, {scores.shape[1]}]"
+                         f" for scores {scores.shape}")
     m = mask.data
     if not np.all((m == 0.0) | (m == _NEG_INF)):
         raise ValueError("mask entries must be exactly 0 or -inf")

@@ -21,7 +21,7 @@ from metacross.classifier import ClassifierConfig, FilmClassifier, film_apply
 from metacross.complexity import BottleneckConfig, compare_bottlenecks
 from metacross.configfile import validate_config
 from metacross.harness import enumerate_scenarios, gradcheck_suite, train_segmentation
-from metacross.metadata import FilmParams, ModalityMask, N_MODALITIES
+from metacross.metadata import ModalityMask, N_MODALITIES
 from metacross.segmentation import SegBatch, SegConfig, SegModel
 from metacross.tensor import Tensor
 
@@ -42,7 +42,7 @@ def test_criterion_1_masked_attention_exactness():
         q = rng.normal(size=(n, d))
         k = rng.normal(size=(N_MODALITIES, d))
         scores = Tensor(q @ k.T / math.sqrt(d))
-        mask = ModalityMask(pattern, n_tokens=n)
+        mask = ModalityMask(pattern)
         weights = T.masked_softmax_rows(scores, mask.additive).data
         missing = [i for i, a in enumerate(pattern) if not a]
         sub = weights[:, missing]
@@ -82,7 +82,7 @@ def test_criterion_2_subset_oracle_equivalence():
         v = rng.normal(size=(N_MODALITIES, d))
 
         out = block(Tensor(q), Tensor(k), Tensor(v),
-                    ModalityMask(pattern, n_tokens=n)).data
+                    ModalityMask(pattern)).data
 
         # reference model assembled from the available dictionary rows only
         logits = q @ k[avail].T / math.sqrt(d)
@@ -185,7 +185,7 @@ def test_criterion_6_neutral_modulation_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(41)
 
-    zero = FilmParams(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    zero = (Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     x = Tensor(rng.normal(size=(2, 3, 5, 5)))
     assert np.array_equal(film_apply(x, zero).data, x.data)
 
@@ -199,7 +199,7 @@ def test_criterion_6_neutral_modulation_identity():
     without = model.forward(image, ctx, use_film=False).data
     assert np.array_equal(with_film, without)
 
-    params = FilmParams(Tensor(np.array([0.5, 0.5])), Tensor(np.array([0.1, 0.1])))
+    params = (Tensor(np.array([[0.5, 0.5]])), Tensor(np.array([[0.1, 0.1]])))
     feature = Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
     out = film_apply(feature, params).data.reshape(2)
     err = float(np.abs(out - np.array([1.6, 3.1])).max())

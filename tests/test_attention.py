@@ -18,13 +18,10 @@ from metacross.tensor import Tensor
 def test_config_defaults_and_validation():
     cfg = AttentionConfig(embed_dim=32)
     assert cfg.ffn_hidden == 128  # defaults to 4x width
-    assert cfg.n_modalities == 4
     with pytest.raises(ConfigError):
         AttentionConfig(embed_dim=0)
     with pytest.raises(ConfigError):
         AttentionConfig(embed_dim=8, patch_size=0)
-    with pytest.raises(ConfigError):
-        AttentionConfig(embed_dim=8, n_modalities=3)
     with pytest.raises(ConfigError):
         AttentionConfig(embed_dim=8, n_layers=0)
     with pytest.raises(ConfigError):

@@ -14,7 +14,6 @@ from metacross.classifier import (
     permutation_probe,
 )
 from metacross.errors import ConfigError, EmptyInputError, ShapeError
-from metacross.metadata import FilmParams
 from metacross.tensor import Tensor
 
 
@@ -52,8 +51,6 @@ def test_config_rejects_out_of_range_and_empty():
         ClassifierConfig(stage_channels=(8,), film_stages=(1,))
     with pytest.raises(ConfigError):
         ClassifierConfig(stage_channels=())
-    with pytest.raises(ConfigError):
-        ClassifierConfig(stage_channels=(8, 16), n_classes=1)
 
 
 def test_min_extent_doubles_per_stage():
@@ -69,7 +66,7 @@ def test_film_apply_worked_example():
     # out = x + gamma*x + beta, per channel:
     # c0: 1.0 + 0.5*1.0 + 0.1 = 1.6 ; c1: 2.0 + 0.5*2.0 + 0.1 = 3.1
     x = Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-    params = FilmParams(Tensor([0.5, 0.5]), Tensor([0.1, 0.1]))
+    params = (Tensor([[0.5, 0.5]]), Tensor([[0.1, 0.1]]))
     out = film_apply(x, params)
     assert abs(out.data[0, 0, 0, 0] - 1.6) < 1e-15
     assert abs(out.data[0, 1, 0, 0] - 3.1) < 1e-15
@@ -78,13 +75,13 @@ def test_film_apply_worked_example():
 def test_film_apply_zero_params_is_bit_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 3, 4, 4)))
-    params = FilmParams(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    params = (Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     out = film_apply(x, params)
     assert np.array_equal(out.data, x.data)
 
 
 def test_film_apply_validates_inputs():
-    params = FilmParams(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    params = (Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
     with pytest.raises(ShapeError):
         film_apply(Tensor(np.zeros((3, 4, 4))), params)
     with pytest.raises(ConfigError, match="3 channels but the feature map has 5"):
@@ -93,20 +90,20 @@ def test_film_apply_validates_inputs():
 
 def test_film_apply_per_sample_rows():
     x = Tensor(np.ones((2, 2, 1, 1)))
-    params = FilmParams(Tensor([[0.5, 0.5], [-1.0, 0.0]]), Tensor([[0.1, 0.1], [0.0, 2.0]]))
+    params = (Tensor([[0.5, 0.5], [-1.0, 0.0]]), Tensor([[0.1, 0.1], [0.0, 2.0]]))
     out = film_apply(x, params).data.reshape(2, 2)
     assert np.array_equal(out, [[1.6, 1.6], [0.0, 3.0]])
 
 
 def test_film_apply_rejects_row_count_other_than_one_or_batch():
-    params = FilmParams(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    params = (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     film_apply(Tensor(np.zeros((2, 3, 4, 4))), params)
     with pytest.raises(ShapeError, match="2 rows for a batch of 3"):
         film_apply(Tensor(np.zeros((3, 3, 4, 4))), params)
     with pytest.raises(ShapeError):
         film_apply(Tensor(np.zeros((1, 3, 4, 4))), params)
     with pytest.raises(ShapeError):
-        FilmParams(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))))
+        film_apply(Tensor(np.zeros((1, 3, 4, 4))), (Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3)))))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +240,7 @@ def test_gamma_statistics_contract():
     stats = gamma_statistics(model, samples)
     assert set(stats) == {1}
     want = np.mean([
-        np.mean(np.abs(model.film["1"](model.context(s.sequence, s.plane)).gamma.data))
+        np.mean(np.abs(model.film["1"].params_for(model.context(s.sequence, s.plane))[0].data))
         for s in samples])
     assert abs(stats[1] - want) < 1e-15
 

@@ -100,6 +100,23 @@ def test_zero_batch_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_flag_names_key(tmp_path, capsys):
+    # --seed used to bypass the schema and end in numpy's unnamed "expected non-negative integer"
+    out = tmp_path / "out"
+    for command in ("gradcheck", "train-seg"):
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+        assert "config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_names_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + "seed = -1\n")
+    out = tmp_path / "out"
+    assert main(["train-seg", "--config", cfg, "--out", str(out)]) == 1
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_config_float_names_key(tmp_path, capsys):

@@ -13,7 +13,6 @@ from metacross.metadata import (
     MODALITY_NAMES,
     N_PLANES,
     FilmGenerator,
-    MetadataContext,
     MetadataEmbeddings,
     MetadataEncoder,
     Modality,
@@ -54,57 +53,29 @@ def test_mask_counts_available():
 
 
 def test_additive_mask_values():
-    mask = ModalityMask((True, False, True, False), n_tokens=3)
+    mask = ModalityMask((True, False, True, False))
     add = mask.additive
-    assert add.shape == (3, 4)
+    assert add.shape == (1, 4)
     assert np.all(add.data[:, 0] == 0.0)
     assert np.all(add.data[:, 2] == 0.0)
     assert np.all(np.isneginf(add.data[:, 1]))
     assert np.all(np.isneginf(add.data[:, 3]))
 
 
-def test_additive_requires_token_count():
-    mask = ModalityMask((True, True, True, True))
-    with pytest.raises(ShapeError, match="token count"):
-        mask.additive
-
-
-def test_mask_resize_and_equality():
-    mask = ModalityMask((True, True, False, False), n_tokens=4)
-    assert mask.resize(4) is mask
-    grown = mask.resize(9)
-    assert grown.n_tokens == 9
-    assert grown.available == mask.available
-    assert grown == ModalityMask((True, True, False, False), n_tokens=9)
-    assert mask != grown
-
-
 # ---------------------------------------------------------------------------
 # context embeddings for the 2D classifier
-
-
-def test_metadata_context_validates_embedding_shapes():
-    good = Tensor(np.zeros((2, CONTEXT_EMBED_DIM)))
-    wide = Tensor(np.zeros((2, CONTEXT_EMBED_DIM + 1)))
-    MetadataContext(sequence=(0, 2), plane=(1, 1), sequence_embedding=good, plane_embedding=good)
-    with pytest.raises(ShapeError):
-        MetadataContext(sequence=(0, 2), plane=(1, 1), sequence_embedding=good, plane_embedding=wide)
-    with pytest.raises(ShapeError):  # one row per id
-        MetadataContext(sequence=(0,), plane=(1,), sequence_embedding=good, plane_embedding=good)
 
 
 def test_embeddings_context_reads_tables():
     emb = MetadataEmbeddings(rng=np.random.default_rng(0))
     ctx = emb.context(sequence=2, plane=1)
-    assert ctx.sequence_embedding.shape == (1, CONTEXT_EMBED_DIM)
-    assert np.array_equal(ctx.sequence_embedding.data[0], emb.sequence_table.data[2])
-    assert np.array_equal(ctx.plane_embedding.data[0], emb.plane_table.data[1])
-    assert ctx.sequence == (2,) and ctx.plane == (1,)
+    assert ctx.shape == (1, FILM_CONTEXT_DIM)
+    assert np.array_equal(ctx.data[0], np.concatenate([emb.sequence_table.data[2], emb.plane_table.data[1]]))
 
     batch = emb.context(sequence=[3, 2, 3], plane=[0, 1, 2])
-    assert batch.sequence == (3, 2, 3) and batch.plane == (0, 1, 2)
-    assert np.array_equal(batch.sequence_embedding.data, emb.sequence_table.data[[3, 2, 3]])
-    assert np.array_equal(batch.plane_embedding.data, emb.plane_table.data[[0, 1, 2]])
+    assert batch.shape == (3, FILM_CONTEXT_DIM)
+    assert np.array_equal(batch.data, np.concatenate([emb.sequence_table.data[[3, 2, 3]],
+                                                      emb.plane_table.data[[0, 1, 2]]], axis=1))
 
 
 def test_embeddings_reject_bad_ids():
@@ -154,18 +125,17 @@ def test_film_generator_split_order_gamma_then_beta():
     gen = FilmGenerator(channels=5, rng=rng)
     emb = MetadataEmbeddings(rng=rng)
     ctx = emb.context(sequence=[1, 3], plane=[2, 0])
-    params = gen.params_for(ctx)
-    assert params.gamma.shape == (2, 5)
-    assert params.beta.shape == (2, 5)
-    assert params.channels == 5 and params.rows == 2
+    gamma, beta = gen.params_for(ctx)
+    assert gamma.shape == (2, 5)
+    assert beta.shape == (2, 5)
 
     # oracle: run the two linear layers by hand on each row and split the 2C vector
     for row, (seq, plane) in enumerate([(1, 2), (3, 0)]):
         context = np.concatenate([emb.sequence_table.data[seq], emb.plane_table.data[plane]])
         h = np.maximum(context @ gen.hidden.weight.data + gen.hidden.bias.data, 0.0)
         raw = h @ gen.head.weight.data + gen.head.bias.data
-        assert np.allclose(params.gamma.data[row], raw[:5], atol=1e-15)
-        assert np.allclose(params.beta.data[row], raw[5:], atol=1e-15)
+        assert np.allclose(gamma.data[row], raw[:5], atol=1e-15)
+        assert np.allclose(beta.data[row], raw[5:], atol=1e-15)
 
 
 def test_film_generator_zero_collapses_output():
@@ -174,9 +144,9 @@ def test_film_generator_zero_collapses_output():
     gen.zero_()
     emb = MetadataEmbeddings(rng=rng)
     for seq in range(2):
-        params = gen.params_for(emb.context(sequence=seq, plane=0))
-        assert np.all(params.gamma.data == 0.0)
-        assert np.all(params.beta.data == 0.0)
+        gamma, beta = gen.params_for(emb.context(sequence=seq, plane=0))
+        assert np.all(gamma.data == 0.0)
+        assert np.all(beta.data == 0.0)
 
 
 def test_film_generator_rejects_bad_channel_count():
@@ -200,8 +170,8 @@ def test_film_generator_gradients_flow_to_tables():
     for p in gen.parameters() + emb.parameters():
         p.needs_grad = True
     with Tape() as tape:
-        params = gen.params_for(emb.context(sequence=1, plane=2))
-        y = T.sum_(T.add(T.mul(params.gamma, params.gamma), params.beta))
+        gamma, beta = gen.params_for(emb.context(sequence=1, plane=2))
+        y = T.sum_(T.add(T.mul(gamma, gamma), beta))
         tape.backward(y)
     assert emb.sequence_table.grad is not None
     assert np.any(emb.sequence_table.grad[1] != 0.0)
@@ -214,8 +184,8 @@ def test_only_used_embedding_rows_get_gradients():
     gen = FilmGenerator(channels=3, rng=rng)
     emb = MetadataEmbeddings(rng=rng)
     with Tape() as tape:
-        params = gen.params_for(emb.context(sequence=[1, 3, 1], plane=[2, 2, 2]))
-        tape.backward(T.sum_(T.add(T.mul(params.gamma, params.gamma), params.beta)))
+        gamma, beta = gen.params_for(emb.context(sequence=[1, 3, 1], plane=[2, 2, 2]))
+        tape.backward(T.sum_(T.add(T.mul(gamma, gamma), beta)))
     used_seq = np.any(emb.sequence_table.grad != 0.0, axis=1)
     used_plane = np.any(emb.plane_table.grad != 0.0, axis=1)
     assert used_seq.tolist() == [False, True, False, True]
