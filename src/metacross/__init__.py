@@ -13,7 +13,7 @@ from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
                          evaluate_accuracy, film_apply, gamma_statistics,
                          permutation_probe)
 from .complexity import (BottleneckConfig, ComplexityReport, LayerCost,
-                         compare_bottlenecks, count_flops, count_params)
+                         compare_bottlenecks)
 from .errors import (CheckpointError, ConfigError, DegenerateMaskError,
                      EmptyInputError, NoModalityError, NumericError,
                      ShapeError)

@@ -45,18 +45,6 @@ def conv_flops(n_positions: int, out_ch: int, in_ch: int, kernel_volume: int, bi
     return flops
 
 
-def count_params(model) -> int:
-    """Exact number of learnable scalars in a module tree."""
-    return sum(p.size for _, p in model.named_parameters())
-
-
-def count_flops(model, input_shape) -> int:
-    """Total forward FLOPs for a model that exposes ``cost_rows``."""
-    if not hasattr(model, "cost_rows"):
-        raise ConfigError(f"{type(model).__name__} does not describe its costs")
-    return sum(row.flops for row in model.cost_rows(input_shape))
-
-
 # ---------------------------------------------------------------------------
 # bottleneck stand-ins
 #

@@ -297,9 +297,18 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
 
     w3 = Tensor(rng.uniform(-1, 1, (2, 2, 2, 2, 2)))
     x3 = Tensor(rng.uniform(-2, 2, (1, 2, 4, 4, 4)))
+    # stride 1 (the decoder convs and 1x1 heads) under a random output weighting
+    ws = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3, 3)))
+    w1 = Tensor(rng.uniform(-1, 1, (3, 2, 1, 1, 1)))
+    xs = Tensor(rng.uniform(-2, 2, (1, 2, 3, 3, 3)))
+    gs, g1 = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3, 3))), Tensor(rng.uniform(-1, 1, (1, 3, 3, 3, 3)))
     results["conv3d"] = max(
         grad_check(lambda t: T.sum_(T.conv3d(t, w3, stride=2)), x3),
         grad_check(lambda t: T.sum_(T.conv3d(x3, t, stride=2)), w3),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(t, ws, padding=1), gs)), xs),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(xs, t, padding=1), gs)), ws),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(t, w1), g1)), xs),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(xs, t), g1)), w1),
     )
 
     emb = MetadataEmbeddings(rng=np.random.default_rng(int(rng.integers(2 ** 31))))

@@ -247,20 +247,19 @@ def _one_hot(target: np.ndarray, n_classes: int) -> np.ndarray:
     return np.moveaxis(eye[target], -1, 0)  # [C, *spatial]
 
 
-def cross_entropy_mean(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Mean per-position cross entropy; class axis is the leading one."""
-    n_classes = logits.shape[0]
-    onehot = Tensor(_one_hot(target, n_classes))
-    log_probs = T.log_softmax(logits, axis=0)
+def cross_entropy_mean(log_probs: Tensor, target: np.ndarray) -> Tensor:
+    """Mean per-position cross entropy from the class-axis ``log_softmax`` of the
+    logits; the class axis is the leading one."""
+    onehot = Tensor(_one_hot(target, log_probs.shape[0]))
     n_positions = int(np.prod(target.shape))
     return T.scale(T.sum_(T.mul(onehot, log_probs)), -1.0 / n_positions)
 
 
-def soft_dice_mean(logits: Tensor, target: np.ndarray, smooth: float = 1e-7) -> Tensor:
-    """Mean soft Dice over classes, on softmax probabilities."""
-    n_classes = logits.shape[0]
+def soft_dice_mean(log_probs: Tensor, target: np.ndarray, smooth: float = 1e-7) -> Tensor:
+    """Mean soft Dice over classes, on the softmax probabilities ``exp(log_probs)``."""
+    n_classes = log_probs.shape[0]
     onehot = _one_hot(target, n_classes)
-    probs = T.exp(T.log_softmax(logits, axis=0))
+    probs = T.exp(log_probs)
     total = None
     for c in range(n_classes):
         p_c = T.narrow(probs, 0, c, 1)
@@ -272,6 +271,12 @@ def soft_dice_mean(logits: Tensor, target: np.ndarray, smooth: float = 1e-7) -> 
     return T.scale(total, 1.0 / n_classes)
 
 
+def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Cross entropy plus (1 - soft Dice), both read from one log_softmax."""
+    log_probs = T.log_softmax(logits, axis=0)
+    return T.add(cross_entropy_mean(log_probs, target), T.sub(Tensor(1.0), soft_dice_mean(log_probs, target)))
+
+
 def combined_loss(logits: Tensor, target: np.ndarray, aux_logits: list[Tensor] = (),
                   *, epoch: int = 0, total_epochs: int = 1, cfg: SegConfig) -> Tensor:
     """Cross entropy plus (1 - soft Dice), with decaying auxiliary terms.
@@ -280,8 +285,7 @@ def combined_loss(logits: Tensor, target: np.ndarray, aux_logits: list[Tensor] =
     weight 1.0 until ``ds_decay_epoch_fraction`` of training has elapsed,
     then exactly ``ds_decay``.
     """
-    loss = T.add(cross_entropy_mean(logits, target),
-                 T.sub(Tensor(1.0), soft_dice_mean(logits, target)))
+    loss = _ce_plus_dice_gap(logits, target)
     if not aux_logits:
         return loss
     progress = epoch / total_epochs if total_epochs > 0 else 1.0
@@ -289,9 +293,7 @@ def combined_loss(logits: Tensor, target: np.ndarray, aux_logits: list[Tensor] =
     full = target.shape[0]
     for a in aux_logits:
         f = full // a.shape[1]
-        small = target[::f, ::f, ::f]
-        term = T.add(cross_entropy_mean(a, small), T.sub(Tensor(1.0), soft_dice_mean(a, small)))
-        loss = T.add(loss, T.scale(term, weight))
+        loss = T.add(loss, T.scale(_ce_plus_dice_gap(a, target[::f, ::f, ::f]), weight))
     return loss
 
 
@@ -363,13 +365,18 @@ def load_checkpoint(model: Module, path) -> None:
         raise CheckpointError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
     count = struct.unpack("<I", take(4))[0]
     loaded: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for index in range(count):
         name_len = struct.unpack("<H", take(2))[0]
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path}: entry {index} has a name that is not UTF-8") from exc
         rank = struct.unpack("<B", take(1))[0]
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint {path}: parameter {name} has non-finite values")
         loaded[name] = arr
     if off != len(view):
         raise CheckpointError(f"checkpoint {path} has {len(view) - off} trailing bytes")

@@ -11,7 +11,11 @@ Broadcasting follows the trailing-dimension rule: shapes are aligned from the
 right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
 
-conv2d and conv3d share one slabbed im2col kernel, one GEMM per slab of planes.
+conv2d and conv3d share one kernel, ``_conv_nd``, over a plane-major padded
+input. At stride 1 it is kn2row: one batched GEMM per in-plane kernel offset on
+strided views of that input, with dX computed as the same routine on the output
+gradient with the kernel flipped. Any other stride copies its windows into one
+im2col column buffer for a single GEMM.
 """
 
 from __future__ import annotations
@@ -472,9 +476,65 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
     return span // stride + 1
 
 
-# Column buffer bytes per slab: the extra working memory of one conv call. A
-# stride-1 plane at 32^3 with 8 input channels (216 rows x 34^2 points) is 2.0 MB.
-_SLAB_BYTES = 1 << 21
+def _interior(planes: np.ndarray, lead: Sequence[int], extents: Sequence[int]) -> np.ndarray:
+    """The [batch, ch, *extents] view of a [batch, first axis, ch, *other axes] array
+    whose region starts at index ``lead`` of each spatial axis."""
+    first = (slice(None), slice(lead[0], lead[0] + extents[0]), slice(None))
+    return planes[first + tuple(slice(a, a + e) for a, e in zip(lead[1:], extents[1:]))].swapaxes(1, 2)
+
+
+def _plane_major(src: np.ndarray, pads: Sequence[int], kernel: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Zero-pad ``src`` [batch, ch, *spatial] by ``pads[a]`` on both sides of axis a
+    (a negative pad crops) and lay it out flat as [batch, first axis, ch, *other axes].
+
+    Zeros follow for the reads past the last plane that a ``kernel`` offset makes
+    from the junk points of a whole-plane grid. Returns the buffer and that
+    padded layout.
+    """
+    if min(pads) < 0:
+        src = src[(slice(None),) * 2 + tuple(slice(-min(p, 0), e + min(p, 0)) for p, e in zip(pads, src.shape[2:]))]
+        pads = [max(p, 0) for p in pads]
+    batch, ch, *extents = src.shape
+    padded = [e + 2 * p for e, p in zip(extents, pads)]
+    layout = (batch, padded[0], ch, *padded[1:])
+    size = math.prod(layout)
+    tail = sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a)
+    buf = np.zeros(size + tail)
+    _interior(buf[:size].reshape(layout), pads, extents)[...] = src
+    return buf, layout
+
+
+def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
+    """Yield (in-plane offset, view) for the stride-1 windows of a plane-major buffer.
+
+    The view is [batch, output plane, kernel[0] * ch, padded plane]: the k0 * ch
+    input planes that one output plane reads form one run, shifted by the
+    offset, so each matrix is a GEMM operand as it stands and nothing is copied.
+    Grid points past the output extents of the other axes are junk.
+    """
+    batch, planes, ch, plane = layout[:3] + (math.prod(layout[3:]),)
+    shape = (batch, planes - kernel[0] + 1, kernel[0] * ch, plane)
+    strides = tuple(xp.itemsize * s for s in (planes * ch * plane, ch * plane, plane, 1))
+    for off in np.ndindex(*kernel[1:]):
+        shift = sum(k * math.prod(layout[a + 4:]) for a, k in enumerate(off))
+        yield off, np.ndarray(shape, buffer=xp, offset=xp.itemsize * shift, strides=strides)
+
+
+def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of a plane-major buffer with weight rows [out, *kernel, in].
+
+    One batched GEMM per in-plane offset, summed through one reused product
+    buffer. Returns [batch, output plane, out, *padded extents of the other axes].
+    """
+    acc = part = None
+    for off, view in _runs(xp, layout, rows.shape[1:-1]):
+        w = rows[(slice(None), slice(None)) + off].reshape(rows.shape[0], -1)
+        if acc is None:
+            acc = np.matmul(w, view)
+        else:
+            part = np.matmul(w, view, out=part)
+            acc += part
+    return acc.reshape(acc.shape[:3] + layout[3:])
 
 
 def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:
@@ -492,68 +552,60 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     spatial = x.shape[2:]
     out_spatial = tuple(conv_output_extent(e, k, stride, padding) for e, k in zip(spatial, kernel))
 
-    # The padded input is kept flat as [batch, first axis, ch, *other axes], so one
-    # offset's windows over one output plane of every channel form one run. Column
-    # rows are (offset, ch), columns (batch, plane, grid point); a stride-1 grid
-    # spans whole padded planes, and its extra points are trimmed from the output.
-    padded = tuple(e + 2 * padding for e in spatial)
-    plane, rows = math.prod(padded[1:]), in_ch * math.prod(kernel)
-    vol, layout = in_ch * padded[0] * plane, (batch, padded[0], in_ch) + padded[1:]  # vol: one batch entry
-    axis_step = (in_ch * plane,) + tuple(math.prod(padded[a + 1:]) for a in range(1, nd))
-    steps = tuple(8 * s for s in axis_step + (plane, vol) + tuple(stride * s for s in axis_step))
-    tail = sum((k - 1) * s for k, s in zip(kernel[1:], axis_step[1:]))  # read by the extra points
-    grid = padded[1:] if stride == 1 else out_spatial[1:]
-    width = batch * math.prod(grid)  # columns per output plane
-    slab = max(1, min(out_spatial[0], _SLAB_BYTES // max(8 * rows * width, 1)))
-    inner = slice(padding, -padding or None)
-    interior = (slice(None), inner, slice(None)) + (inner,) * (nd - 1)
-    trim = (slice(None),) * 3 + tuple(map(slice, out_spatial[1:]))
-
-    def padded_flat(src: np.ndarray) -> np.ndarray:
-        buf = np.zeros(batch * vol + tail)
-        buf[:batch * vol].reshape(layout)[interior] = src.swapaxes(1, 2)
-        return buf
-
-    def windows(buf: np.ndarray, d0: int, n: int) -> np.ndarray:  # [*kernel, in, batch, n, *grid]
-        return np.ndarray(kernel + (in_ch, batch, n) + grid, buffer=buf,
-                          offset=8 * d0 * stride * axis_step[0], strides=steps)
-
-    def slabs():
-        cols = np.empty(slab * rows * width)  # one column buffer per call, reused by every slab
-        for d0 in range(0, out_spatial[0], slab):
-            n = min(slab, out_spatial[0] - d0)
-            yield d0, n, cols[:n * rows * width].reshape(kernel + (in_ch, batch, n) + grid)
-
-    xp, w2 = padded_flat(x.data), np.moveaxis(weight.data, 1, -1).reshape(out_ch, rows)  # [out, (offset, in)]
+    # Both strides read the padded input laid out flat as [batch, first axis, ch,
+    # *other axes] and the weight rows [out, *kernel, in]. Stride 1 runs GEMMs on
+    # views of it over whole padded planes (see _runs) and trims the junk points;
+    # any other stride copies its windows into one column buffer for one GEMM.
+    pads, origin = (padding,) * nd, (0,) * nd
+    xp, layout = _plane_major(x.data, pads, kernel)
+    rows = np.moveaxis(weight.data, 1, -1)
     b = (np.zeros(out_ch) if bias is None else bias.data).reshape((out_ch,) + (1,) * nd)
-    out_data = np.empty((batch, out_ch) + out_spatial)
-    for d0, n, cols in slabs():
-        np.copyto(cols, windows(xp, d0, n))
-        res = (w2 @ cols.reshape(rows, n * width)).reshape((out_ch, batch, n) + grid)
-        np.add(res[trim].swapaxes(0, 1), b, out=out_data[:, :, d0:d0 + n])
+    steps = (math.prod(layout[2:]),) + tuple(math.prod(layout[a + 3:]) for a in range(1, nd))
+    strides = tuple(8 * s for s in steps + (math.prod(layout[3:]), math.prod(layout[1:])) + tuple(stride * s for s in steps))
+
+    def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *out_spatial]
+        return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
+
+    if stride == 1:
+        out_data = np.add(_interior(_kn2row(xp, layout, rows), origin, out_spatial), b)
+    else:
+        res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
+        out_data = np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b)
+        del res
+    buf_size = xp.size
+    del xp
     out = Tensor(out_data)
 
-    def rule(g: np.ndarray) -> None:  # rebuilds the padded input and weight rows: the tape keeps neither
+    def rule(g: np.ndarray) -> None:  # rebuilds the padded input: the tape keeps no buffer
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
-        xp = padded_flat(x.data) if weight.needs_grad else None
-        dxp = np.zeros(batch * vol + tail) if x.needs_grad else None
-        w2, dw2 = np.moveaxis(weight.data, 1, -1).reshape(out_ch, rows), np.zeros((out_ch, rows))
-        for d0, n, cols in slabs():
-            gs = np.zeros((out_ch, batch, n) + grid)  # extra grid points get zero gradient
-            gs[trim] = g[:, :, d0:d0 + n].swapaxes(0, 1)
-            if xp is not None:
-                np.copyto(cols, windows(xp, d0, n))
-                dw2 += gs.reshape(out_ch, n * width) @ cols.reshape(rows, n * width).T
-            if dxp is not None:  # the columns' gradient overwrites them, then adds into dX
-                np.matmul(w2.T, gs.reshape(out_ch, n * width), out=cols.reshape(rows, n * width))
-                dv = windows(dxp, d0, n)
-                for k in np.ndindex(*kernel):
-                    np.add(dv[k], cols[k], out=dv[k])
+        xp = _plane_major(x.data, pads, kernel)[0] if weight.needs_grad else None
+        if stride == 1:
+            if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T; junk points get zero gradient
+                gl = np.zeros((batch, out_spatial[0], out_ch) + layout[3:])
+                _interior(gl, origin, out_spatial)[...] = g
+                gl = gl.reshape(gl.shape[:3] + (-1,))
+                drows = np.empty_like(rows)
+                for off, view in _runs(xp, layout, kernel):
+                    d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
+                    drows[(slice(None), slice(None)) + off] = d.reshape(out_ch, kernel[0], in_ch)
+                del gl, view, xp
+                weight.accumulate(np.moveaxis(drows, -1, 1))
+            if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
+                flipped = np.moveaxis(weight.data, 0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
+                gp, glayout = _plane_major(g, tuple(k - 1 - padding for k in kernel), kernel)
+                x.accumulate(_interior(_kn2row(gp, glayout, flipped), origin, spatial))
+            return
+        gs = g.swapaxes(0, 1).reshape(out_ch, -1)
         if xp is not None:
-            weight.accumulate(np.moveaxis(dw2.reshape((out_ch,) + kernel + (in_ch,)), -1, 1))
-        if dxp is not None:
-            x.accumulate(dxp[:batch * vol].reshape(layout)[interior].swapaxes(1, 2))
+            weight.accumulate(np.moveaxis((gs @ windows(xp).reshape(rows[0].size, -1).T).reshape(rows.shape), -1, 1))
+        if x.needs_grad:  # the columns' gradient adds back into the windows it was read from
+            dcols = (rows.reshape(out_ch, -1).T @ gs).reshape(kernel + (in_ch, batch) + out_spatial)
+            dxp = np.zeros(buf_size)
+            dv = windows(dxp)
+            for k in np.ndindex(*kernel):
+                np.add(dv[k], dcols[k], out=dv[k])
+            x.accumulate(_interior(dxp[:math.prod(layout)].reshape(layout), pads, spatial))
 
     return _record(name, out, (x, weight) if bias is None else (x, weight, bias), rule)
 

@@ -238,6 +238,22 @@ def test_sweep_seed_override_changes_json(tmp_path):
     assert a["seed"] == 0 and b["seed"] == 5
 
 
+def test_sweep_rejects_non_finite_checkpoint(tmp_path, capsys):
+    # a NaN head weight used to give exit 0 with dice 0.0000 in every scenario
+    assert main(["train-seg", "--config", _write(tmp_path, "seg.cfg", MICRO_SEG),
+                 "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    data = raw.index(b"head.weight") + len(b"head.weight") + 1 + 4 * 5  # past the rank byte and shape
+    raw[data:data + 8] = np.float64(np.nan).tobytes()
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    cfg = _write(tmp_path, "sweep.cfg", MICRO_SEG + f"checkpoint = {ckpt}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "parameter head.weight has non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_cls_writes_artifacts(tmp_path, capsys):
     cfg = _write(tmp_path, "cls.cfg", MICRO_CLS)
     out = tmp_path / "run"

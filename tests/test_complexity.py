@@ -17,8 +17,6 @@ from metacross.complexity import (
     bottleneck_rows,
     compare_bottlenecks,
     conv_flops,
-    count_flops,
-    count_params,
     linear_flops,
     reduction_pct,
     render_comparison_csv,
@@ -45,20 +43,21 @@ def test_linear_and_conv_flops_closed_forms():
     assert conv_flops(100, 16, 3, 27, bias=False) == 2 * 100 * 16 * 3 * 27
 
 
+def _n_params(module) -> int:
+    return sum(p.size for _, p in module.named_parameters())
+
+
 def test_count_params_and_flops_on_layers():
     lin = Linear(32, 64, rng=np.random.default_rng(0))
-    assert count_params(lin) == 32 * 64 + 64
-    assert count_flops(lin, (10, 32)) == linear_flops(10, 32, 64, bias=True)
+    rows = lin.cost_rows((10, 32))
+    assert sum(r.params for r in rows) == _n_params(lin) == 32 * 64 + 64
+    assert sum(r.flops for r in rows) == linear_flops(10, 32, 64, bias=True)
 
     conv = Conv(2, 3, 8, kernel=3, stride=2, padding=1, rng=np.random.default_rng(1))
-    assert count_params(conv) == 8 * 3 * 9 + 8
+    rows = conv.cost_rows((2, 3, 16, 16))
+    assert sum(r.params for r in rows) == _n_params(conv) == 8 * 3 * 9 + 8
     # 16x16 input halves to 8x8: 64 output positions per batch item
-    assert count_flops(conv, (2, 3, 16, 16)) == conv_flops(2 * 64, 8, 3, 9, bias=True)
-
-
-def test_count_flops_requires_cost_rows():
-    with pytest.raises(ConfigError, match="does not describe"):
-        count_flops(object(), (1, 2))
+    assert sum(r.flops for r in rows) == conv_flops(2 * 64, 8, 3, 9, bias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_seg_model_rows_match_bottleneck_rows(n_layers, deep_supervision):
         name = "seg.metadata_encoder" if part == "metadata_encoder" else f"seg.block{layer[5:]}.{part}"
         assert (seg[name].kind, seg[name].params, seg[name].flops) == (row.kind, row.params, row.flops)
     # the formulas count exactly the parameters the modules hold
-    assert sum(r.params for r in seg.values()) == count_params(model)
+    assert sum(r.params for r in seg.values()) == _n_params(model)
 
 
 def test_reduction_percentages():

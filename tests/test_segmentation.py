@@ -25,7 +25,7 @@ from metacross.segmentation import (
     soft_dice_mean,
     train_step,
 )
-from metacross.tensor import Tensor
+from metacross.tensor import Tape, Tensor
 
 
 def _tiny_cfg(**kw):
@@ -218,17 +218,22 @@ def test_dice_score_examples():
         dice_score([1, 0], [1, 0, 0], 1)
 
 
+def _log_probs(logits) -> Tensor:
+    """The class-axis log_softmax that the CE and Dice terms read."""
+    return T.log_softmax(logits if isinstance(logits, Tensor) else Tensor(logits), axis=0)
+
+
 def test_cross_entropy_uniform_logits_is_log2():
     logits = Tensor(np.zeros((2, 4, 4, 4)))
     target = np.zeros((4, 4, 4), dtype=np.int64)
-    assert abs(cross_entropy_mean(logits, target).item() - math.log(2.0)) < 1e-15
+    assert abs(cross_entropy_mean(_log_probs(logits), target).item() - math.log(2.0)) < 1e-15
 
 
 def test_cross_entropy_matches_numpy_oracle():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(3, 4, 4, 4))
     target = rng.integers(0, 3, size=(4, 4, 4))
-    got = cross_entropy_mean(Tensor(logits), target).item()
+    got = cross_entropy_mean(_log_probs(logits), target).item()
     m = logits.max(axis=0, keepdims=True)
     logp = logits - m - np.log(np.exp(logits - m).sum(axis=0, keepdims=True))
     want = -np.take_along_axis(logp, target[None], axis=0).mean()
@@ -240,14 +245,14 @@ def test_cross_entropy_saturates_near_zero():
     logits = np.zeros((2, 2, 2, 2))
     onehot = np.moveaxis(np.eye(2)[target], -1, 0)
     logits += 30.0 * onehot  # confident and correct
-    assert cross_entropy_mean(Tensor(logits), target).item() < 1e-10
+    assert cross_entropy_mean(_log_probs(logits), target).item() < 1e-10
 
 
 def test_soft_dice_matches_numpy_oracle():
     rng = np.random.default_rng(7)
     logits = rng.normal(size=(2, 4, 4, 4))
     target = rng.integers(0, 2, size=(4, 4, 4))
-    got = soft_dice_mean(Tensor(logits), target).item()
+    got = soft_dice_mean(_log_probs(logits), target).item()
 
     e = np.exp(logits - logits.max(axis=0, keepdims=True))
     probs = e / e.sum(axis=0, keepdims=True)
@@ -267,7 +272,7 @@ def test_soft_dice_rewards_confident_overlap():
     sharp = np.zeros((2, 4, 4, 4))
     sharp[1] = 40.0 * target - 20.0
     sharp[0] = -sharp[1]
-    assert soft_dice_mean(Tensor(sharp), target).item() > 0.999999
+    assert soft_dice_mean(_log_probs(sharp), target).item() > 0.999999
 
 
 def test_combined_loss_aux_weight_schedule():
@@ -279,13 +284,32 @@ def test_combined_loss_aux_weight_schedule():
 
     base = combined_loss(logits, target, [], cfg=cfg).item()
     small = target[::2, ::2, ::2]
-    aux_term = (cross_entropy_mean(aux[0], small).item()
-                + 1.0 - soft_dice_mean(aux[0], small).item())
+    aux_term = (cross_entropy_mean(_log_probs(aux[0]), small).item()
+                + 1.0 - soft_dice_mean(_log_probs(aux[0]), small).item())
 
     early = combined_loss(logits, target, aux, epoch=0, total_epochs=10, cfg=cfg).item()
     late = combined_loss(logits, target, aux, epoch=5, total_epochs=10, cfg=cfg).item()
     assert abs(early - (base + aux_term)) < 1e-12
     assert abs(late - (base + 0.4 * aux_term)) < 1e-12
+
+
+def test_combined_loss_takes_one_log_softmax_per_logits_tensor():
+    cfg = _tiny_cfg()
+    rng = np.random.default_rng(10)
+    target = (rng.random((8, 8, 8)) < 0.4).astype(np.int64)
+    logits = Tensor(rng.normal(size=(2, 8, 8, 8)), requires_grad=True)
+    aux = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True)
+    with Tape() as tape:
+        loss = combined_loss(logits, target, [aux], cfg=cfg)
+        tape.backward(loss)
+    assert [name for name, _, _ in tape.nodes].count("log_softmax") == 2
+    # the same terms, each of CE and Dice with its own log_softmax (aux weight 1.0 at epoch 0)
+    for t, tgt in ((logits, target), (aux, target[::2, ::2, ::2])):
+        x = Tensor(t.data, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.add(cross_entropy_mean(_log_probs(x), tgt),
+                                T.sub(Tensor(1.0), soft_dice_mean(_log_probs(x), tgt))))
+        assert np.allclose(t.grad, x.grad, rtol=0, atol=1e-15)
 
 
 def test_combined_loss_without_aux_is_ce_plus_dice_gap():
@@ -294,8 +318,8 @@ def test_combined_loss_without_aux_is_ce_plus_dice_gap():
     target = (rng.random((8, 8, 8)) < 0.5).astype(np.int64)
     logits = Tensor(rng.normal(size=(2, 8, 8, 8)))
     got = combined_loss(logits, target, [], cfg=cfg).item()
-    want = (cross_entropy_mean(logits, target).item()
-            + 1.0 - soft_dice_mean(logits, target).item())
+    want = (cross_entropy_mean(_log_probs(logits), target).item()
+            + 1.0 - soft_dice_mean(_log_probs(logits), target).item())
     assert abs(got - want) < 1e-14
 
 
@@ -407,6 +431,33 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     save_checkpoint(_Pair(), path)
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(_Pair(wide=True), path)
+
+
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    src = _Pair()
+    src.second.weight.data[1, 0] = np.nan
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(src, path)
+    dst = _Pair(seed=3)
+    before = dst.first.weight.data.copy()
+    with pytest.raises(CheckpointError, match="parameter second.weight has non-finite values"):
+        load_checkpoint(dst, path)
+    assert np.array_equal(dst.first.weight.data, before)  # nothing is loaded
+    src.second.weight.data[1, 0] = np.inf
+    save_checkpoint(src, path)
+    with pytest.raises(CheckpointError, match="second.weight"):
+        load_checkpoint(_Pair(), path)
+
+
+def test_checkpoint_rejects_non_utf8_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_Pair(), path)
+    raw = bytearray(path.read_bytes())
+    second = raw.index(b"first.bias")  # entry 1; its name follows a 2-byte length
+    raw[second] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: entry 1 has a name that is not UTF-8"):
+        load_checkpoint(_Pair(), path)
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -4,8 +4,6 @@ Expected values are either hand-derived closed forms or brute-force oracles
 computed inline with plain numpy loops.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -349,58 +347,47 @@ def test_conv3d_matches_bruteforce():
     assert np.all(np.abs(got.data - out) < 1e-12)
 
 
-def _two_plane_slabs(x_shape, w_shape, stride, padding):
-    """A column budget that gives slabs of two output planes along the first axis.
-
-    The columns of one output plane are 8 bytes x (in channels x kernel
-    volume) rows x (batch x grid points); a stride-1 grid spans the padded
-    extents of the other axes, any other grid their output extents.
-    """
-    kernel = w_shape[2:]
-    other = [(e + 2 * padding - k) // stride + 1 for e, k in zip(x_shape[3:], kernel[1:])]
-    grid = [e + 2 * padding for e in x_shape[3:]] if stride == 1 else other
-    return 2 * 8 * w_shape[1] * math.prod(kernel) * x_shape[0] * math.prod(grid) + 8
-
-
-# (x shape, weight shape, stride, padding); each gives seven output planes along
-# the first spatial axis, so two-plane slabs leave a ragged last slab of one
-MULTI_SLAB_GEOMETRIES = [
+# (x shape, weight shape, stride, padding): stride 1 and 2 in 3D and 2D, with
+# non-cubic kernels, and stride-1 paddings of at least the kernel size, whose
+# dX crops the output gradient instead of padding it
+CONV_GEOMETRIES = [
     ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1),
     ((2, 3, 9, 4, 5), (4, 3, 3, 2, 3), 1, 0),
     ((2, 3, 13, 6, 5), (4, 3, 3, 3, 3), 2, 1),
     ((2, 2, 14, 6, 7), (3, 2, 2, 2, 2), 2, 0),
     ((2, 3, 7, 9), (4, 3, 3, 3), 1, 1),
     ((2, 3, 15, 8), (5, 3, 3, 2), 2, 0),
+    ((2, 3, 4, 5, 3), (2, 3, 1, 1, 1), 1, 1),
+    ((2, 3, 4, 5, 3), (2, 3, 2, 2, 2), 1, 2),
+    ((2, 3, 5, 6), (3, 3, 1, 1), 1, 1),
+    ((2, 3, 5, 6), (3, 3, 2, 2), 1, 2),
 ]
 
 
-@pytest.mark.parametrize("x_shape, w_shape, stride, padding", MULTI_SLAB_GEOMETRIES)
-def test_conv_multi_slab_matches_bruteforce(monkeypatch, x_shape, w_shape, stride, padding):
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding", CONV_GEOMETRIES)
+def test_conv_multi_slab_matches_bruteforce(x_shape, w_shape, stride, padding):
     rng = np.random.default_rng(37)
     x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
     out_spatial = tuple(T.conv_output_extent(e, k, stride, padding) for e, k in zip(x_shape[2:], w_shape[2:]))
     g = rng.normal(size=(x_shape[0], w_shape[0]) + out_spatial)
     want, want_dx, want_dw, want_db = _conv_bruteforce(x, w, b, stride, padding, g)
     conv = T.conv3d if len(x_shape) == 5 else T.conv2d
-    # 1 byte forces one-plane slabs; the other budget gives 2 + 2 + 2 + 1 planes
-    for budget in (1, _two_plane_slabs(x_shape, w_shape, stride, padding)):
-        monkeypatch.setattr(T, "_SLAB_BYTES", budget)
-        for need_x, need_w in ((True, True), (False, True), (True, False)):
-            xt, wt, bt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w), Tensor(b, requires_grad=True)
-            with Tape() as tape:
-                y = conv(xt, wt, bt, stride=stride, padding=padding)
-                tape.backward(T.sum_(T.mul(y, Tensor(g))))
-            assert y.shape == want.shape
-            assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
-            assert np.allclose(bt.grad, want_db, rtol=1e-12, atol=1e-12)
-            if need_x:
-                assert np.allclose(xt.grad, want_dx, rtol=1e-12, atol=1e-12)
-            else:
-                assert xt.grad is None
-            if need_w:
-                assert np.allclose(wt.grad, want_dw, rtol=1e-12, atol=1e-12)
-            else:
-                assert wt.grad is None
+    for need_x, need_w in ((True, True), (False, True), (True, False)):
+        xt, wt, bt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            y = conv(xt, wt, bt, stride=stride, padding=padding)
+            tape.backward(T.sum_(T.mul(y, Tensor(g))))
+        assert y.shape == want.shape
+        assert np.allclose(y.data, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(bt.grad, want_db, rtol=1e-12, atol=1e-12)
+        if need_x:
+            assert np.allclose(xt.grad, want_dx, rtol=1e-12, atol=1e-12)
+        else:
+            assert xt.grad is None
+        if need_w:
+            assert np.allclose(wt.grad, want_dw, rtol=1e-12, atol=1e-12)
+        else:
+            assert wt.grad is None
 
 
 def test_conv2d_identity_kernel():
