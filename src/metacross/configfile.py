@@ -39,6 +39,8 @@ _CONVERTERS = {
 
 # bounds a value must meet: at least / greater than / one of
 _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
+# cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must fit in half the extent
+_CLS_MIN_EXTENT = (">=", 18)
 _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed}
 
 # schema entries: key -> (type name, default[, bound])
@@ -85,7 +87,7 @@ for _mod, (_bg, _fg, _sigma) in {
 
 _CLS = {
     **_COMMON,
-    "extent": ("int", 32, _AT_LEAST_1),
+    "extent": ("int", 32, _CLS_MIN_EXTENT),
     "n_train": ("int", 48, _AT_LEAST_1),
     "n_eval": ("int", 40, _AT_LEAST_1),
     "slices_per_volume": ("int", 3, _AT_LEAST_1),

@@ -67,9 +67,9 @@ class PhantomSpec:
             raise ConfigError("need at least one sample")
         lo, hi = self.radius_range
         if not 0 < lo <= hi:
-            raise ConfigError(f"bad radius range {self.radius_range}")
+            raise ConfigError(f"radius_min {lo} and radius_max {hi} must satisfy 0 < radius_min <= radius_max")
         if hi > self.extent / 2:
-            raise ConfigError(f"max radius {hi} exceeds half the extent {self.extent / 2}")
+            raise ConfigError(f"radius_max {hi} exceeds half the extent {self.extent / 2}")
         missing = [m for m in MODALITY_NAMES if m not in self.contrasts]
         if missing:
             raise ConfigError(f"contrast map missing modalities {missing}")

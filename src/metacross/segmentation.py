@@ -7,6 +7,7 @@ enriched under the availability mask, and decoded back to voxel logits.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -21,6 +22,7 @@ from .tensor import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"MCKP"
 CHECKPOINT_VERSION = 1
+_MAX_RANK = 8  # parameters here are rank 1-5; a larger rank byte is corruption
 
 
 @dataclass
@@ -362,7 +364,7 @@ def load_checkpoint(model: Module, path) -> None:
         raise CheckpointError(f"{path} is not a parameter checkpoint (bad magic)")
     version = struct.unpack("<B", take(1))[0]
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
+        raise CheckpointError(f"checkpoint {path}: version {version} unsupported (expected {CHECKPOINT_VERSION})")
     count = struct.unpack("<I", take(4))[0]
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
@@ -372,9 +374,14 @@ def load_checkpoint(model: Module, path) -> None:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"checkpoint {path}: entry {index} has a name that is not UTF-8") from exc
         rank = struct.unpack("<B", take(1))[0]
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"checkpoint {path}: entry {index} has rank {rank} (at most {_MAX_RANK})")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        nbytes = 8 * math.prod(shape)
+        if nbytes > len(view) - off:
+            raise CheckpointError(f"checkpoint {path} truncated: entry {index} of shape {shape} needs "
+                                  f"{nbytes} bytes, {len(view) - off} remain")
+        arr = np.frombuffer(take(nbytes), dtype="<f8").reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint {path}: parameter {name} has non-finite values")
         loaded[name] = arr
@@ -385,8 +392,10 @@ def load_checkpoint(model: Module, path) -> None:
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
-        raise CheckpointError(f"checkpoint mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
+        raise CheckpointError(f"checkpoint {path} does not match the model: "
+                              f"missing {missing[:3]}, unexpected {extra[:3]}")
     for name, p in params.items():
         if loaded[name].shape != p.shape:
-            raise CheckpointError(f"parameter {name}: checkpoint shape {loaded[name].shape} != model {p.shape}")
+            raise CheckpointError(f"checkpoint {path}: parameter {name} has shape {loaded[name].shape}, "
+                                  f"the model {p.shape}")
         p.data = loaded[name].copy()

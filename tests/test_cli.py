@@ -134,6 +134,27 @@ def test_non_finite_config_float_names_key(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_seg_radius_errors_name_their_keys(tmp_path, capsys):
+    for radii, keys in (("radius_min = 9\nradius_max = 4\n", ("radius_min 9.0", "radius_max 4.0")),
+                        ("radius_min = 2\nradius_max = 5\n", ("radius_max 5.0", "extent"))):
+        cfg = _write(tmp_path, "seg.cfg", MICRO_SEG.replace("radius_min = 2.0\nradius_max = 3.5\n", radii))
+        out = tmp_path / "out"
+        assert main(["train-seg", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert not out.exists()
+
+
+def test_cls_extent_too_small_names_key_and_minimum(tmp_path, capsys):
+    # the cls schema has no radius key: the phantoms' fixed radii set the smallest extent
+    cfg = _write(tmp_path, "cls.cfg", MICRO_CLS.replace("extent = 20", "extent = 16"))
+    for command in ("train-cls", "probe-permutation"):
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "config key 'extent': '16' must be >= 18" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_removed_seg_options_exit_one(tmp_path, capsys):
     for line in ("direct_patch = true", "gate_missing = false"):
         cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + line + "\n")

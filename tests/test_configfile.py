@@ -10,6 +10,7 @@ from metacross.configfile import SCHEMAS, load_config, parse_flat, validate_conf
 from metacross.errors import ConfigError
 from metacross.harness import (_cls_phantom_spec, _phantom_spec,
                                classifier_config_from_values, seg_config_from_values)
+from metacross.phantoms import PhantomSpec
 
 
 def test_parse_flat_basics():
@@ -137,6 +138,13 @@ def test_load_config_reads_and_overrides(tmp_path):
     assert values["seed"] == 9  # override wins
     assert values["steps"] == 10
     assert values["out"] == "out"  # None override ignored, default kept
+
+
+def test_cls_extent_bound_fits_the_phantom_radius():
+    # cls phantoms use PhantomSpec's default radii, whose maximum must fit in half the extent
+    op, low = SCHEMAS["cls"]["extent"][2]
+    assert (op, low) == (">=", 2 * PhantomSpec().radius_range[1])
+    _cls_phantom_spec(validate_config({"extent": str(low)}, "cls"), 1, 0)
 
 
 def test_load_config_none_means_defaults():

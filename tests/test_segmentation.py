@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metacross.tensor as T
 from metacross.attention import AttentionConfig
@@ -400,7 +401,7 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version 9"):
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: version 9"):
         load_checkpoint(_Pair(), path)
 
 
@@ -419,18 +420,65 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
 def test_checkpoint_rejects_name_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(_Pair(), path)
-    with pytest.raises(CheckpointError, match="missing"):
+    with pytest.raises(CheckpointError, match=r"m\.ckpt does not match the model: missing \['third"):
         load_checkpoint(_Extra(), path)
     save_checkpoint(_Extra(), path)
-    with pytest.raises(CheckpointError, match="unexpected"):
+    with pytest.raises(CheckpointError, match=r"m\.ckpt does not match.*unexpected \['third"):
         load_checkpoint(_Pair(), path)
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(_Pair(), path)
-    with pytest.raises(CheckpointError, match="shape"):
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: parameter first.weight has shape \(3, 4\), the model \(3, 5\)"):
         load_checkpoint(_Pair(wide=True), path)
+
+
+def test_checkpoint_rank_byte_mutations_are_checkpoint_errors(tmp_path):
+    # a garbage rank reads later bytes as extents: numpy builds no rank above 64,
+    # and the product of the extents can overflow int64
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_Pair(), path)
+    raw = path.read_bytes()
+    rank_at = raw.index(b"first.weight") + len(b"first.weight")  # entry 0
+    assert raw[rank_at] == 2
+    for rank in range(256):
+        mutated = bytearray(raw)
+        mutated[rank_at] = rank
+        path.write_bytes(bytes(mutated))
+        if rank == 2:
+            load_checkpoint(_Pair(), path)
+            continue
+        with pytest.raises(CheckpointError, match=r"m\.ckpt") as info:
+            load_checkpoint(_Pair(), path)
+        if rank > 8:
+            assert f"entry 0 has rank {rank}" in str(info.value)
+
+
+def test_checkpoint_rejects_shape_larger_than_the_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_Pair(), path)
+    raw = bytearray(path.read_bytes())
+    extents_at = raw.index(b"first.weight") + len(b"first.weight") + 1
+    raw[extents_at:extents_at + 8] = (2**32 - 1).to_bytes(4, "little") * 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"m\.ckpt truncated: entry 0 of shape \(4294967295, 4294967295\)"):
+        load_checkpoint(_Pair(), path)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_any_one_byte_mutation_loads_or_is_checkpoint_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutation.ckpt"
+    save_checkpoint(_Pair(), path)
+    raw = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1))
+    raw[at] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(_Pair(), path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
 
 
 def test_checkpoint_rejects_non_finite_values(tmp_path):
