@@ -302,6 +302,8 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
     w1 = Tensor(rng.uniform(-1, 1, (3, 2, 1, 1, 1)))
     xs = Tensor(rng.uniform(-2, 2, (1, 2, 3, 3, 3)))
     gs, g1 = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3, 3))), Tensor(rng.uniform(-1, 1, (1, 3, 3, 3, 3)))
+    # the decoder's fused nearest x2 upsample and 3x3x3 conv
+    xu, gu = Tensor(rng.uniform(-2, 2, (1, 2, 2, 3, 2))), Tensor(rng.uniform(-1, 1, (1, 2, 4, 6, 4)))
     results["conv3d"] = max(
         grad_check(lambda t: T.sum_(T.conv3d(t, w3, stride=2)), x3),
         grad_check(lambda t: T.sum_(T.conv3d(x3, t, stride=2)), w3),
@@ -309,6 +311,8 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
         grad_check(lambda t: T.sum_(T.mul(T.conv3d(xs, t, padding=1), gs)), ws),
         grad_check(lambda t: T.sum_(T.mul(T.conv3d(t, w1), g1)), xs),
         grad_check(lambda t: T.sum_(T.mul(T.conv3d(xs, t), g1)), w1),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(t, ws, padding=1, upsample=2), gu)), xu),
+        grad_check(lambda t: T.sum_(T.mul(T.conv3d(xu, t, padding=1, upsample=2), gu)), ws),
     )
 
     emb = MetadataEmbeddings(rng=np.random.default_rng(int(rng.integers(2 ** 31))))

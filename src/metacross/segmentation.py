@@ -187,10 +187,11 @@ class SegModel(Module):
         last = len(self.decoder) - 1
         skip = cfg.skip_stage
         for i, conv in enumerate(self.decoder):
-            x = T.upsample3d_nearest(x, 2)
-            if i == skip:
-                x = T.concat([x, T.reshape(fused, (1,) + fused.shape)], axis=1)
-            x = T.relu(conv(x))
+            if i == skip:  # not a pure upsample: the stem features join it before the conv
+                x = conv(T.concat([T.upsample3d_nearest(x, 2), T.reshape(fused, (1,) + fused.shape)], axis=1))
+            else:
+                x = T.conv3d(x, conv.weight, conv.bias, padding=1, upsample=2)
+            x = T.relu(x)
             if cfg.deep_supervision and i < last:
                 a = self.aux_heads[i](x)
                 ext = a.shape[2]
@@ -245,8 +246,9 @@ def dice_score(pred, target, class_id: int) -> float:
 
 
 def _one_hot(target: np.ndarray, n_classes: int) -> np.ndarray:
-    eye = np.eye(n_classes, dtype=np.float64)
-    return np.moveaxis(eye[target], -1, 0)  # [C, *spatial]
+    """[C, *spatial] float64 indicator of each class."""
+    classes = np.arange(n_classes).reshape((n_classes,) + (1,) * target.ndim)
+    return (classes == target).astype(np.float64)
 
 
 def cross_entropy_mean(log_probs: Tensor, target: np.ndarray) -> Tensor:
@@ -352,10 +354,11 @@ def load_checkpoint(model: Module, path) -> None:
     view = memoryview(blob)
     off = 0
 
-    def take(n: int) -> memoryview:
+    def take(n: int, index: int | None = None) -> memoryview:
         nonlocal off
         if off + n > len(view):
-            raise CheckpointError(f"checkpoint {path} truncated at byte {off}")
+            where = "" if index is None else f" inside the header of entry {index}"
+            raise CheckpointError(f"checkpoint {path} truncated at byte {off}{where}")
         chunk = view[off:off + n]
         off += n
         return chunk
@@ -368,15 +371,15 @@ def load_checkpoint(model: Module, path) -> None:
     count = struct.unpack("<I", take(4))[0]
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
-        name_len = struct.unpack("<H", take(2))[0]
+        name_len = struct.unpack("<H", take(2, index))[0]
         try:
-            name = bytes(take(name_len)).decode("utf-8")
+            name = bytes(take(name_len, index)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"checkpoint {path}: entry {index} has a name that is not UTF-8") from exc
-        rank = struct.unpack("<B", take(1))[0]
+        rank = struct.unpack("<B", take(1, index))[0]
         if rank > _MAX_RANK:
             raise CheckpointError(f"checkpoint {path}: entry {index} has rank {rank} (at most {_MAX_RANK})")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, index))
         nbytes = 8 * math.prod(shape)
         if nbytes > len(view) - off:
             raise CheckpointError(f"checkpoint {path} truncated: entry {index} of shape {shape} needs "

@@ -17,6 +17,16 @@ strided views of that input, with dX computed as the same routine on the output
 gradient with the kernel flipped. Any other stride copies its windows into one
 im2col column buffer for a single GEMM.
 
+``conv3d(x, w, b, padding=1, upsample=2)`` is the 3x3x3 conv of the nearest x2
+upsample of ``x`` without building the upsample. Each output phase (even or odd
+on each axis) reads only 2x2x2 low-res voxels, so a constant 0/1 map pre-sums
+the 27 taps into eight phase-stacked 2x2x2 kernels, one stride-1 kn2row runs
+them on ``x`` padded by 1, and the phases are written interleaved into the
+output: 8/27 of the multiply-adds on an input 1/8 the size. Summing taps before
+the multiply moves results in the last ulps. The backward pass de-interleaves
+the output gradient into the phase layout, folds the phase kernels' gradient
+back through the map, and runs dX on that same buffer.
+
 Importing this module pins glibc's malloc mmap and trim thresholds, so the
 megabytes a forward frees stay mapped for the next one (see ``_pin_malloc_thresholds``).
 """
@@ -528,11 +538,17 @@ def _plane_major(src: np.ndarray, pads: Sequence[int], kernel: Sequence[int]) ->
     batch, ch, *extents = src.shape
     padded = [e + 2 * p for e, p in zip(extents, pads)]
     layout = (batch, padded[0], ch, *padded[1:])
-    size = math.prod(layout)
-    tail = sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a)
-    buf = np.zeros(size + tail)
-    _interior(buf[:size].reshape(layout), pads, extents)[...] = src
+    buf = _plane_zeros(layout, kernel)
+    _interior(buf[:math.prod(layout)].reshape(layout), pads, extents)[...] = src
     return buf, layout
+
+
+def _plane_zeros(layout: tuple[int, ...], kernel: Sequence[int]) -> np.ndarray:
+    """A zeroed flat buffer for a plane-major ``layout``, with the tail that
+    ``kernel`` offsets read past the last plane."""
+    padded = (layout[1],) + layout[3:]
+    tail = sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a)
+    return np.zeros(math.prod(layout) + tail)
 
 
 def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
@@ -568,7 +584,31 @@ def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.nda
     return acc.reshape(acc.shape[:3] + layout[3:])
 
 
-def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:
+# Per axis, the 3-tap kernel taps that each (output phase, 2-tap offset) pair
+# sums after a nearest x2 upsample: phase 0 (even outputs) reads low-res offsets
+# -1 and 0 through taps {0} and {1, 2}; phase 1 (odd) reads offsets 0 and +1
+# through taps {0, 1} and {2}. The 3D map [27 taps, 8 phases * 8 offsets] is
+# the product over the three axes.
+_UP2_AXIS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)  # [phase, offset, tap]
+_UP2_MAP = np.einsum("adk,bel,cfm->klmabcdef", _UP2_AXIS, _UP2_AXIS, _UP2_AXIS).reshape(27, 64)
+
+
+def _phase_rows(w: np.ndarray) -> np.ndarray:
+    """3x3x3 weights [out, in, 3, 3, 3] pre-summed into phase-stacked 2x2x2 rows [8 * out, 2, 2, 2, in]."""
+    out_ch, in_ch = w.shape[:2]
+    v = (w.reshape(out_ch * in_ch, 27) @ _UP2_MAP).reshape(out_ch, in_ch, 8, 2, 2, 2)
+    return v.transpose(2, 0, 3, 4, 5, 1).reshape(8 * out_ch, 2, 2, 2, in_ch)
+
+
+def _fold_phase_rows(d: np.ndarray) -> np.ndarray:
+    """The gradient of phase-stacked rows folded back onto the 3x3x3 weights (the map's transpose)."""
+    out_ch, in_ch = d.shape[0] // 8, d.shape[-1]
+    v = d.reshape(8, out_ch, 2, 2, 2, in_ch).transpose(1, 5, 0, 2, 3, 4).reshape(out_ch * in_ch, 64)
+    return (v @ _UP2_MAP.T).reshape(out_ch, in_ch, 3, 3, 3)
+
+
+def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int,
+             upsample: int = 1) -> Tensor:
     if x.ndim != nd + 2:
         raise ShapeError(f"{name} expects rank-{nd + 2} input [batch, ch, spatial...], got {x.shape}")
     if weight.ndim != nd + 2:
@@ -581,15 +621,28 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
         raise ShapeError(f"{name}: bias shape {bias.shape} must be ({out_ch},)")
     kernel = weight.shape[2:]
     spatial = x.shape[2:]
-    out_spatial = tuple(conv_output_extent(e, k, stride, padding) for e, k in zip(spatial, kernel))
+    if upsample != 1 and (upsample != 2 or kernel != (3,) * 3 or stride != 1 or padding != 1):
+        raise ShapeError(f"{name}: upsample={upsample} is supported only as 2 in conv3d with a 3x3x3 kernel, "
+                         f"stride 1 and padding 1, got kernel {kernel}, stride {stride}, padding {padding}")
+    out_spatial = tuple(conv_output_extent(upsample * e, k, stride, padding) for e, k in zip(spatial, kernel))
 
-    # Both strides read the padded input laid out flat as [batch, first axis, ch,
-    # *other axes] and the weight rows [out, *kernel, in]. Stride 1 runs GEMMs on
-    # views of it over whole padded planes (see _runs) and trims the junk points;
-    # any other stride copies its windows into one column buffer for one GEMM.
-    pads, origin = (padding,) * nd, (0,) * nd
+    # Every conv reads the padded input laid out flat as [batch, first axis, ch,
+    # *other axes] and weight rows [out', *kernel', in]. Stride 1 runs GEMMs
+    # on views of it over whole padded planes (see _runs) and keeps the windows
+    # of its output that ``phases`` name: (lead, channel block, extents, output
+    # index). Upsample 2 runs the 2x2x2 phase-stacked rows on x padded by 1,
+    # whose output phase a of each axis keeps [a, a + e) of the kn2row output.
+    # Any other stride copies its windows into one column buffer for one GEMM.
+    origin = (0,) * nd
+    if upsample == 2:
+        rows, kernel, pads = _phase_rows(weight.data), (2,) * nd, (1,) * nd
+        phases = [(a, slice(p * out_ch, (p + 1) * out_ch), spatial,
+                   (slice(None),) * 2 + tuple(slice(i, None, 2) for i in a))
+                  for p, a in enumerate(np.ndindex((2,) * nd))]
+    else:
+        rows, pads = np.moveaxis(weight.data, 1, -1), (padding,) * nd
+        phases = [(origin, slice(None), out_spatial, (slice(None),) * 2)]
     xp, layout = _plane_major(x.data, pads, kernel)
-    rows = np.moveaxis(weight.data, 1, -1)
     b = (np.zeros(out_ch) if bias is None else bias.data).reshape((out_ch,) + (1,) * nd)
     steps = (math.prod(layout[2:]),) + tuple(math.prod(layout[a + 3:]) for a in range(1, nd))
     strides = tuple(8 * s for s in steps + (math.prod(layout[3:]), math.prod(layout[1:])) + tuple(stride * s for s in steps))
@@ -597,7 +650,13 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *out_spatial]
         return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
 
-    if stride == 1:
+    if upsample == 2:
+        acc = _kn2row(xp, layout, rows)
+        out_data = np.empty((batch, out_ch) + out_spatial)
+        for lead, ch, extents, at in phases:
+            np.add(_interior(acc[:, :, ch], lead, extents), b, out=out_data[at])
+        del acc
+    elif stride == 1:
         out_data = np.add(_interior(_kn2row(xp, layout, rows), origin, out_spatial), b)
     else:
         res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
@@ -612,19 +671,26 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
             bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
         xp = _plane_major(x.data, pads, kernel)[0] if weight.needs_grad else None
         if stride == 1:
-            if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T; junk points get zero gradient
-                gl = np.zeros((batch, out_spatial[0], out_ch) + layout[3:])
-                _interior(gl, origin, out_spatial)[...] = g
+            if xp is not None or upsample == 2:  # g laid out as the kn2row output; junk points get zero gradient
+                glayout = (batch, layout[1] - kernel[0] + 1, rows.shape[0]) + layout[3:]
+                gbuf = _plane_zeros(glayout, kernel)
+                gl = gbuf[:math.prod(glayout)].reshape(glayout)
+                for lead, ch, extents, at in phases:
+                    _interior(gl[:, :, ch], lead, extents)[...] = g[at]
+            if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T
                 gl = gl.reshape(gl.shape[:3] + (-1,))
                 drows = np.empty_like(rows)
                 for off, view in _runs(xp, layout, kernel):
                     d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
-                    drows[(slice(None), slice(None)) + off] = d.reshape(out_ch, kernel[0], in_ch)
+                    drows[(slice(None), slice(None)) + off] = d.reshape(rows.shape[0], kernel[0], in_ch)
                 del gl, view, xp
-                weight.accumulate(np.moveaxis(drows, -1, 1))
+                weight.accumulate(_fold_phase_rows(drows) if upsample == 2 else np.moveaxis(drows, -1, 1))
             if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
-                flipped = np.moveaxis(weight.data, 0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
-                gp, glayout = _plane_major(g, tuple(k - 1 - padding for k in kernel), kernel)
+                flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
+                if upsample == 2:  # the phases pad x by k - 1, so dX reads their gradient buffer unpadded
+                    gp = gbuf
+                else:
+                    gp, glayout = _plane_major(g, tuple(k - 1 - padding for k in kernel), kernel)
                 x.accumulate(_interior(_kn2row(gp, glayout, flipped), origin, spatial))
             return
         gs = g.swapaxes(0, 1).reshape(out_ch, -1)
@@ -646,9 +712,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     return _conv_nd("conv2d", 2, x, weight, bias, stride, padding)
 
 
-def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation over [batch, ch, d, h, w] with cubic stride/padding."""
-    return _conv_nd("conv3d", 3, x, weight, bias, stride, padding)
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0,
+           upsample: int = 1) -> Tensor:
+    """Cross-correlation over [batch, ch, d, h, w] with cubic stride/padding.
+
+    ``upsample=2`` (3x3x3 kernel, stride 1, padding 1 only) convolves the
+    nearest x2 upsample of ``x`` without building it: the same values as
+    ``conv3d(upsample3d_nearest(x, 2), ...)`` up to the last ulps.
+    """
+    return _conv_nd("conv3d", 3, x, weight, bias, stride, padding, upsample)
 
 
 def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:

@@ -1,6 +1,8 @@
 """3D pipeline: model geometry, losses, training step, and checkpoints."""
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import metacross.tensor as T
 from metacross.attention import AttentionConfig
+from metacross.configfile import load_config
 from metacross.errors import CheckpointError, ConfigError, NumericError, ShapeError
+from metacross.harness import seg_config_from_values
 from metacross.metadata import ModalityMask
 from metacross.nn import Adam, Linear, Module
 from metacross.segmentation import (
@@ -506,6 +510,26 @@ def test_checkpoint_rejects_non_utf8_name(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match=r"m\.ckpt: entry 1 has a name that is not UTF-8"):
         load_checkpoint(_Pair(), path)
+
+
+def test_checkpoint_truncated_inside_an_entry_header_names_the_entry(tmp_path):
+    weights = Path(__file__).resolve().parents[1] / "perfbench/weights"
+    model = SegModel(seg_config_from_values(load_config(weights / "train_seg.cfg", "seg")))
+    raw = (weights / "seg_default_seed0.ckpt").read_bytes()
+    path = tmp_path / "seg.ckpt"
+    path.write_bytes(raw)
+    load_checkpoint(model, path)  # the whole file loads
+    # entry 1's header: name length, name, rank byte, extents
+    name_len = int.from_bytes(raw[9:11], "little")
+    rank = raw[11 + name_len]
+    shape = struct.unpack(f"<{rank}I", raw[12 + name_len:12 + name_len + 4 * rank])
+    start = 12 + name_len + 4 * rank + 8 * math.prod(shape)
+    name_len = int.from_bytes(raw[start:start + 2], "little")
+    end = start + 2 + name_len + 1 + 4 * raw[start + 2 + name_len]
+    for cut in range(start, end + 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError, match=r"seg\.ckpt truncated.*entry 1"):
+            load_checkpoint(model, path)
 
 
 def test_checkpoint_missing_file(tmp_path):

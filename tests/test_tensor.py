@@ -393,6 +393,47 @@ def test_conv_multi_slab_matches_bruteforce(x_shape, w_shape, stride, padding):
             assert wt.grad is None
 
 
+def _conv_grads(x, w, b, g, conv):
+    """Output and the x, w, b gradients of ``sum(conv(x, w, b) * g)``."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = None if b is None else Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        y = conv(xt, wt, bt)
+        tape.backward(T.sum_(T.mul(y, Tensor(g))))
+    return y.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
+
+# (batch, in, out, low-res extents): the segmentation decoder's stage-0 and
+# stage-2 geometries at the default config, and a small non-cubic one
+UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4))]
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("batch, cin, cout, extents", UPSAMPLE_GEOMETRIES)
+def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, with_bias):
+    rng = np.random.default_rng(41)
+    x, w = rng.normal(size=(batch, cin) + extents), rng.normal(size=(cout, cin, 3, 3, 3))
+    b = rng.normal(size=cout) if with_bias else None
+    g = rng.normal(size=(batch, cout) + tuple(2 * e for e in extents))
+    fused = _conv_grads(x, w, b, g, lambda xt, wt, bt: T.conv3d(xt, wt, bt, padding=1, upsample=2))
+    plain = _conv_grads(x, w, b, g, lambda xt, wt, bt: T.conv3d(T.upsample3d_nearest(xt, 2), wt, bt, padding=1))
+    assert fused[0].shape == plain[0].shape
+    for got, want in zip(fused, plain):
+        if want is None:
+            assert got is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_upsample_rejects_unsupported_geometry():
+    x3, w3 = Tensor(np.zeros((1, 2, 4, 4, 4))), Tensor(np.zeros((3, 2, 3, 3, 3)))
+    for kwargs in (dict(stride=2, padding=1, upsample=2), dict(padding=0, upsample=2), dict(padding=1, upsample=3)):
+        with pytest.raises(ShapeError, match="upsample"):
+            T.conv3d(x3, w3, **kwargs)
+    with pytest.raises(ShapeError, match="upsample"):
+        T.conv3d(x3, Tensor(np.zeros((3, 2, 1, 1, 1))), padding=1, upsample=2)
+
+
 def test_conv2d_identity_kernel():
     x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
     w = Tensor(np.ones((1, 1, 1, 1)))
