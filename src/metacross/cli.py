@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,18 +53,8 @@ def _outdir(values: dict) -> Path:
     return out
 
 
-def _cmd_train_seg(values: dict) -> int:
-    model, losses = train_segmentation(values)
-    out = _outdir(values)
-    (out / "loss_curve.csv").write_text(render_loss_csv(losses))
-    save_checkpoint(model, out / "checkpoint.ckpt")
-    print(f"trained {values['steps']} steps; loss {losses[0]:.4f} -> {losses[-1]:.4f}")
-    print(f"wrote {out / 'checkpoint.ckpt'} and {out / 'loss_curve.csv'}")
-    return 0
-
-
-def _cmd_train_cls(values: dict) -> int:
-    model, losses, _, _ = train_classifier(values)
+def _cmd_train(train, values: dict) -> int:
+    model, losses = train(values)[:2]
     out = _outdir(values)
     (out / "loss_curve.csv").write_text(render_loss_csv(losses))
     save_checkpoint(model, out / "checkpoint.ckpt")
@@ -125,8 +116,8 @@ def _cmd_probe(values: dict) -> int:
 
 
 _COMMANDS = {
-    "train-seg": ("seg", _cmd_train_seg),
-    "train-cls": ("cls", _cmd_train_cls),
+    "train-seg": ("seg", partial(_cmd_train, train_segmentation)),
+    "train-cls": ("cls", partial(_cmd_train, train_classifier)),
     "sweep": ("seg", _cmd_sweep),
     "complexity": ("complexity", _cmd_complexity),
     "gradcheck": ("gradcheck", _cmd_gradcheck),

@@ -37,11 +37,16 @@ _CONVERTERS = {
     "int_list": _to_int_list,
 }
 
-# bounds a value must meet: at least / greater than / one of
+# bounds a value must meet: at least / greater than / one of / inside a closed interval
 _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
+# phantom levels are normalized image intensities: a noise near 1e308 overflows the
+# phantoms and values past about 1e154 overflow a layer norm's squares, so both are capped far below
+_LEVEL, _NOISE = ("within", (-1e3, 1e3)), ("within", (0.0, 1e3))
 # cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must fit in half the extent
 _CLS_MIN_EXTENT = (">=", 18)
-_BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed}
+_BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed,
+              # a non-finite value passes here so the finiteness check names it
+              "within": lambda value, span: not math.isfinite(value) or span[0] <= value <= span[1]}
 
 # schema entries: key -> (type name, default[, bound])
 _COMMON = {
@@ -81,9 +86,9 @@ for _mod, (_bg, _fg, _sigma) in {
     "t1": (0.50, 0.05, 0.18),
     "t2": (0.25, 0.75, 0.20),
 }.items():
-    _SEG[f"{_mod}_background"] = ("float", _bg)
-    _SEG[f"{_mod}_lesion"] = ("float", _fg)
-    _SEG[f"{_mod}_noise"] = ("float", _sigma)
+    _SEG[f"{_mod}_background"] = ("float", _bg, _LEVEL)
+    _SEG[f"{_mod}_lesion"] = ("float", _fg, _LEVEL)
+    _SEG[f"{_mod}_noise"] = ("float", _sigma, _NOISE)
 
 _CLS = {
     **_COMMON,

@@ -22,13 +22,13 @@ from .classifier import (N_CLASSES, ClassifierConfig, ClsSample,
                          permutation_probe)
 from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
                        MODALITY_NAMES, ModalityMask, N_MODALITIES)
-from .nn import Adam, clip_grad_norm
+from .nn import Adam, optimize
 from .phantoms import (ModalityContrast, PhantomSpec, apply_availability,
                        generate_cls_phantoms, generate_seg_phantoms)
 from .segmentation import (SegBatch, SegConfig, SegModel, combined_loss,
                            dice_score, load_checkpoint, predict_labels,
                            save_checkpoint, train_step)
-from .tensor import Tape, Tensor, grad_check
+from .tensor import Tensor, grad_check
 
 LESION_CLASS = 1
 FULL_PATTERN_BIAS = 0.25
@@ -217,19 +217,12 @@ def train_classifier(values: dict) -> tuple[FilmClassifier, list[float], list[Cl
                            rng=np.random.default_rng(model_seed))
     rng = np.random.default_rng(step_seed)
     optimizer = Adam()
-    named = model.named_parameters()
     losses = []
     for _ in range(values["steps"]):
         idx = rng.integers(len(train_samples), size=values["batch"])
         batch = [train_samples[int(i)] for i in idx]
-        model.zero_grad()
-        with Tape() as tape:
-            loss = _cls_loss(model, batch)
-            value = loss.item()
-            tape.backward(loss)
-        clip_grad_norm([p for _, p in named], values["clip"])
-        optimizer.step(named, values["lr"], values["weight_decay"])
-        losses.append(value)
+        losses.append(optimize(model, lambda: _cls_loss(model, batch), optimizer,
+                               values["lr"], values["weight_decay"], values["clip"]))
     return model, losses, train_samples, eval_samples
 
 

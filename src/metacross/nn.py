@@ -6,11 +6,13 @@ Modules discover parameters by walking attributes in construction order, so
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .errors import ConfigError, NumericError, ShapeError
+from .tensor import Tape, Tensor
 
 
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> Tensor:
@@ -123,14 +125,6 @@ class LayerNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
 
-    def cost_rows(self, input_shape: tuple[int, ...], name: str = "layer_norm"):
-        from .complexity import LayerCost, LN_FLOPS_PER_ELEMENT
-
-        n = 1
-        for e in input_shape:
-            n *= e
-        return [LayerCost(name, "norm", 2 * self.width, LN_FLOPS_PER_ELEMENT * n)]
-
 
 def global_grad_norm(params: list[Tensor]) -> float:
     total = 0.0
@@ -185,3 +179,25 @@ class Adam:
             v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
             self.m[name], self.v[name] = m, v
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
+             lr: float, weight_decay: float, clip: float) -> float:
+    """One optimization step on the loss ``loss_of()`` records; returns its value
+    from before the update.
+
+    A non-finite loss raises ``NumericError`` naming the first op that went
+    non-finite, before any parameter or optimizer state moves.
+    """
+    named = model.named_parameters()
+    model.zero_grad()
+    with Tape() as tape:
+        loss = loss_of()
+        value = loss.item()
+        if not np.isfinite(value):
+            culprit = tape.first_nonfinite() or "loss"
+            raise NumericError(f"non-finite training loss (first bad op: {culprit})")
+        tape.backward(loss)
+    clip_grad_norm([p for _, p in named], clip)
+    optimizer.step(named, lr, weight_decay)
+    return value

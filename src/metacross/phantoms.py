@@ -139,8 +139,9 @@ def generate_cls_phantoms(spec: PhantomSpec, slices_per_volume: int = 3) -> list
     whose contrast polarity is swapped, which ties the label to the
     sequence id.
     """
-    if slices_per_volume < 1:
-        raise ConfigError("need at least one slice per volume")
+    # more slices than the extent would only repeat clamped edge slices
+    if not 1 <= slices_per_volume <= spec.extent:
+        raise ConfigError(f"slices_per_volume {slices_per_volume} must lie in [1, extent {spec.extent}]")
     rng = np.random.default_rng(spec.seed)
     samples: list[ClsSample] = []
     for i in range(spec.n_samples):

@@ -17,8 +17,8 @@ from . import tensor as T
 from .attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .metadata import MetadataEncoder, ModalityMask, N_MODALITIES
-from .nn import Adam, Conv, Module, clip_grad_norm
-from .tensor import Tape, Tensor
+from .nn import Adam, Conv, Module, optimize
+from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"MCKP"
 CHECKPOINT_VERSION = 1
@@ -261,18 +261,12 @@ def cross_entropy_mean(log_probs: Tensor, target: np.ndarray) -> Tensor:
 
 def soft_dice_mean(log_probs: Tensor, target: np.ndarray, smooth: float = 1e-7) -> Tensor:
     """Mean soft Dice over classes, on the softmax probabilities ``exp(log_probs)``."""
-    n_classes = log_probs.shape[0]
-    onehot = _one_hot(target, n_classes)
+    onehot = _one_hot(target, log_probs.shape[0])
     probs = T.exp(log_probs)
-    total = None
-    for c in range(n_classes):
-        p_c = T.narrow(probs, 0, c, 1)
-        t_c = Tensor(onehot[c][None])
-        num = T.add(T.scale(T.sum_(T.mul(p_c, t_c)), 2.0), Tensor(smooth))
-        den = T.add(T.add(T.sum_(p_c), Tensor(float(onehot[c].sum()))), Tensor(smooth))
-        d = T.div(num, den)
-        total = d if total is None else T.add(total, d)
-    return T.scale(total, 1.0 / n_classes)
+    spatial = tuple(range(1, probs.ndim))
+    num = T.add(T.scale(T.sum_(T.mul(probs, Tensor(onehot)), axis=spatial), 2.0), Tensor(smooth))
+    den = T.add(T.add(T.sum_(probs, axis=spatial), Tensor(onehot.sum(axis=spatial))), Tensor(smooth))
+    return T.mean(T.div(num, den))
 
 
 def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -305,20 +299,11 @@ def train_step(model: SegModel, batch: SegBatch, optimizer: Adam,
                lr: float = 2e-4, weight_decay: float = 1e-4, clip: float = 1.0,
                *, epoch: int = 0, total_epochs: int = 1) -> float:
     """One optimization step; returns the loss value before the update."""
-    named = model.named_parameters()
-    model.zero_grad()
-    with Tape() as tape:
+    def loss_of() -> Tensor:
         logits, aux = model.forward(batch)
-        loss = combined_loss(logits, batch.target, aux, epoch=epoch,
-                             total_epochs=total_epochs, cfg=model.cfg)
-        value = loss.item()
-        if not np.isfinite(value):
-            culprit = tape.first_nonfinite() or "loss"
-            raise NumericError(f"non-finite training loss (first bad op: {culprit})")
-        tape.backward(loss)
-    clip_grad_norm([p for _, p in named], clip)
-    optimizer.step(named, lr, weight_decay)
-    return value
+        return combined_loss(logits, batch.target, aux, epoch=epoch, total_epochs=total_epochs, cfg=model.cfg)
+
+    return optimize(model, loss_of, optimizer, lr, weight_decay, clip)
 
 
 def predict_labels(model: SegModel, batch: SegBatch) -> np.ndarray:

@@ -128,10 +128,13 @@ def test_non_finite_config_float_names_key(tmp_path, capsys):
         key = line.split(" = ")[0]
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
-    # a finite value that makes training diverge is still a numeric failure
-    cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + "lr = 1e308\n")
-    assert main(["train-seg", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "numeric failure" in capsys.readouterr().err
+    # a finite value that makes training diverge is still a numeric failure, in both pipelines
+    for command, micro in (("train-seg", MICRO_SEG), ("train-cls", MICRO_CLS), ("probe-permutation", MICRO_CLS)):
+        cfg = _write(tmp_path, "diverge.cfg", micro + "lr = 1e308\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_seg_radius_errors_name_their_keys(tmp_path, capsys):

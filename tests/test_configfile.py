@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from metacross.cli import main
 from metacross.configfile import SCHEMAS, load_config, parse_flat, validate_config
 from metacross.errors import ConfigError
-from metacross.harness import (_cls_phantom_spec, _phantom_spec,
+from metacross.classifier import FilmClassifier
+from metacross.harness import (_cls_loss, _cls_phantom_spec, _phantom_spec,
                                classifier_config_from_values, seg_config_from_values)
-from metacross.phantoms import PhantomSpec
+from metacross.nn import Adam, optimize
+from metacross.phantoms import PhantomSpec, generate_cls_phantoms, generate_seg_phantoms
+from metacross.segmentation import SegModel, train_step
 
 
 def test_parse_flat_basics():
@@ -92,8 +95,16 @@ def test_validate_rejects_values_below_lower_bound():
         validate_config({"trials": "0"}, "cls")
     with pytest.raises(ConfigError, match="'weight_decay': '-1e-4' must be >= 0"):
         validate_config({"weight_decay": "-1e-4"}, "seg")
+    # phantom contrasts: a noise of 1e308 overflowed the phantom volumes
+    with pytest.raises(ConfigError, match=r"'t1_noise': '1e308' must be within \(0.0, 1000.0\)"):
+        validate_config({"t1_noise": "1e308"}, "seg")
+    with pytest.raises(ConfigError, match=r"'flair_noise': '-0.1' must be within"):
+        validate_config({"flair_noise": "-0.1"}, "seg")
+    with pytest.raises(ConfigError, match=r"'t2_background': '-1001' must be within \(-1000.0, 1000.0\)"):
+        validate_config({"t2_background": "-1001"}, "seg")
     # the bounds are inclusive where zero means something
     assert validate_config({"ffn_hidden": "0", "weight_decay": "0"}, "seg")["ffn_hidden"] == 0
+    assert validate_config({"t1_noise": "0", "t1_lesion": "1000"}, "seg")["t1_lesion"] == 1000.0
     assert validate_config({"encoder_downsamples": "0"}, "complexity")["encoder_downsamples"] == 0
 
 
@@ -170,7 +181,9 @@ def test_cls_rejects_checkpoint_key(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# property: any assignment either builds the run inputs or is a ValueError
+# property: any assignment either builds the model and phantoms and runs one
+# training step through the shared optimizer step, or is a ValueError; a
+# NumericError is not a ValueError, so a step that goes non-finite fails
 
 _JUNK = st.sampled_from(["", "x", "1.5", "-0", "99999999999999999999"])
 _RAW = {
@@ -180,10 +193,26 @@ _RAW = {
     "str": st.sampled_from(["shared", "per_scenario", "", "run.ckpt"]),
     "int_list": st.lists(st.integers(-1, 40), max_size=5).map(lambda xs: ", ".join(map(str, xs))) | _JUNK,
 }
-_BUILD = {
-    "seg": lambda v: (seg_config_from_values(v), _phantom_spec(v, v["n_train"], 0)),
-    "cls": lambda v: (classifier_config_from_values(v), _cls_phantom_spec(v, v["n_train"], 0)),
-}
+# drawn keys override a small valid seg run, so most accepted seg draws take a step
+_BASE = {"seg": {"extent": "16", "radius_min": "2", "radius_max": "4"}, "cls": {}}
+_STEP_MAX_SEG_EXTENT = 16  # larger seg volumes are built but not stepped, to keep the property fast
+
+
+def _build_and_step_seg(v):
+    model = SegModel(seg_config_from_values(v))
+    batch = generate_seg_phantoms(_phantom_spec(v, 1, 0))[0]
+    if v["extent"] <= _STEP_MAX_SEG_EXTENT:
+        train_step(model, batch, Adam(), lr=v["lr"], weight_decay=v["weight_decay"], clip=v["clip"],
+                   total_epochs=v["steps"])
+
+
+def _build_and_step_cls(v):
+    model = FilmClassifier(classifier_config_from_values(v))
+    sample = generate_cls_phantoms(_cls_phantom_spec(v, 1, 0), v["slices_per_volume"])[0]
+    optimize(model, lambda: _cls_loss(model, [sample]), Adam(), v["lr"], v["weight_decay"], v["clip"])
+
+
+_BUILD = {"seg": _build_and_step_seg, "cls": _build_and_step_cls}
 
 
 @pytest.mark.parametrize("task", sorted(_BUILD))
@@ -192,7 +221,7 @@ _BUILD = {
 def test_any_assignment_builds_or_is_value_error(task, data):
     schema = SCHEMAS[task]
     keys = data.draw(st.lists(st.sampled_from(sorted(schema)), max_size=6, unique=True))
-    pairs = {k: data.draw(_RAW[schema[k][0]]) for k in keys}
+    pairs = {**_BASE[task], **{k: data.draw(_RAW[schema[k][0]]) for k in keys}}
     try:
         values = validate_config(pairs, task)
         _BUILD[task](values)

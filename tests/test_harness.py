@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from metacross.configfile import validate_config
+from metacross.errors import NumericError
 from metacross.harness import (
     FULL_PATTERN_BIAS,
     LESION_CLASS,
@@ -194,19 +195,31 @@ def test_cls_loss_grouping_matches_per_sample_oracle():
     assert abs(got - np.mean(per_sample)) < 1e-12
 
 
+# extent must fit the fixed lesion radius range of the cls task
+MICRO_CLS = {
+    "extent": "20", "n_train": "4", "n_eval": "2", "steps": "3",
+    "batch": "4", "stage_channels": "4, 8", "film_stages": "1",
+    "slices_per_volume": "2",
+}
+
+
 def test_train_classifier_micro_run():
-    # extent must fit the fixed lesion radius range of the cls task
-    values = validate_config({
-        "extent": "20", "n_train": "4", "n_eval": "2", "steps": "3",
-        "batch": "4", "stage_channels": "4, 8", "film_stages": "1",
-        "slices_per_volume": "2",
-    }, "cls")
+    values = validate_config(MICRO_CLS, "cls")
     model, losses, train_samples, eval_samples = train_classifier(values)
     assert len(losses) == 3
     assert all(np.isfinite(v) for v in losses)
     assert len(train_samples) == 8   # 4 volumes x 2 slices
     assert len(eval_samples) == 4
     assert isinstance(model, FilmClassifier)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_classifier_raises_on_divergence():
+    # the first update overflows the weights; the next loss must not be recorded as nan
+    values = validate_config(dict(MICRO_CLS, lr="1e308"), "cls")
+    with pytest.raises(NumericError, match="first bad op"):
+        train_classifier(values)
 
 
 # ---------------------------------------------------------------------------

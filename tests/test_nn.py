@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
-from metacross.errors import ConfigError, ShapeError
+from metacross.errors import ConfigError, NumericError, ShapeError
 from metacross.nn import (
     Adam,
     Conv,
@@ -13,6 +13,7 @@ from metacross.nn import (
     Module,
     clip_grad_norm,
     global_grad_norm,
+    optimize,
     parameter,
 )
 from metacross.tensor import Tape, Tensor
@@ -176,6 +177,23 @@ def test_adam_descends_a_quadratic():
             tape.backward(loss)
         opt.step([("x", x)], lr=0.05)
     assert abs(x.data[0] - 3.0) < 1e-2
+
+
+def test_optimize_on_a_poisoned_model_moves_nothing():
+    model = Linear(3, 2, rng=np.random.default_rng(4))
+    x = Tensor(np.random.default_rng(5).normal(size=(4, 3)))
+    opt = Adam()
+    first = optimize(model, lambda: T.sum_(model(x)), opt, lr=0.1, weight_decay=0.01, clip=1.0)
+    assert np.isfinite(first) and opt.t == 1
+
+    model.weight.data[1, 0] = np.nan
+    params = [p.data.tobytes() for p in model.parameters()]
+    moments = {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m}
+    with pytest.raises(NumericError, match="first bad op: matmul"):
+        optimize(model, lambda: T.sum_(model(x)), opt, lr=0.1, weight_decay=0.01, clip=1.0)
+    assert [p.data.tobytes() for p in model.parameters()] == params
+    assert opt.t == 1
+    assert {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m} == moments
 
 
 def test_missing_gradient_is_treated_as_zero():

@@ -172,8 +172,12 @@ def test_cls_phantoms_deterministic():
 
 
 def test_cls_phantoms_rejects_zero_slices():
+    spec = PhantomSpec(extent=16, radius_range=(3.0, 6.0))
     with pytest.raises(ConfigError):
-        generate_cls_phantoms(PhantomSpec(extent=16, radius_range=(3.0, 6.0)), slices_per_volume=0)
+        generate_cls_phantoms(spec, slices_per_volume=0)
+    # past the extent only clamped edge slices repeat, one copy per count
+    with pytest.raises(ConfigError, match=r"slices_per_volume 17 must lie in \[1, extent 16\]"):
+        generate_cls_phantoms(spec, slices_per_volume=17)
 
 
 def test_slice_label_threshold():
