@@ -44,6 +44,13 @@ _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
 _LEVEL, _NOISE = ("within", (-1e3, 1e3)), ("within", (0.0, 1e3))
 # cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must fit in half the extent
 _CLS_MIN_EXTENT = (">=", 18)
+# A run generates its phantom sets whole before it starts. Each sample costs this many
+# bytes per voxel of its extent^3 volume (seg: four float64 channels and an int64 target;
+# cls: the float64 volume its slices are cut from), and a set may hold at most
+# _PHANTOM_BYTES_MAX, about 30x the default seg training set. Steps and trials only make a
+# run long, so they stay unbounded.
+_PHANTOM_BYTES_MAX = 1 << 30
+_PHANTOM_VOXEL_BYTES = {"seg": 40, "cls": 8}
 _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed,
               # a non-finite value passes here so the finiteness check names it
               "within": lambda value, span: not math.isfinite(value) or span[0] <= value <= span[1]}
@@ -180,7 +187,19 @@ def validate_config(pairs: dict[str, str], task: str, overrides: dict | None = N
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = _checked(_spec(schema, key, task), key, value, value)
+    if task in _PHANTOM_VOXEL_BYTES:
+        _check_phantom_bytes(values, _PHANTOM_VOXEL_BYTES[task])
     return values
+
+
+def _check_phantom_bytes(values: dict, voxel_bytes: int) -> None:
+    """A ConfigError naming ``extent`` if one phantom sample, else the count key of a
+    phantom set, needs more than _PHANTOM_BYTES_MAX."""
+    sample = voxel_bytes * values["extent"] ** 3
+    for key, n in (("extent", 1), ("n_train", values["n_train"]), ("n_eval", values["n_eval"])):
+        if n * sample > _PHANTOM_BYTES_MAX:
+            raise ConfigError(f"config key {key!r}: {values[key]} needs {n * sample} bytes of phantoms, "
+                              f"more than the {_PHANTOM_BYTES_MAX} a set may hold")
 
 
 def load_config(path: str | Path | None, task: str, overrides: dict | None = None) -> dict:

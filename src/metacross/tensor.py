@@ -7,6 +7,13 @@ order; ``Tape.backward`` replays the records in reverse and accumulates
 gradients into ``Tensor.grad``. Outside a tape the same functions run forward
 only, which is what inference paths use.
 
+Gradient lifetime: a tape is replayed once, and each node is released as soon
+as its rule has run, so after backward only leaves (tensors no rule produced:
+parameters and inputs) hold ``.grad``. A rule hands each gradient array to one
+tensor and does not read it again; the tensor keeps the first one it gets, not
+a copy, when it is laid out like its data (see ``Tensor.accumulate``). ``add``
+hands its upstream gradient to the first operand, so the second gets a copy.
+
 Broadcasting follows the trailing-dimension rule: shapes are aligned from the
 right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
@@ -97,7 +104,7 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self.nodes: list[tuple[str, "Tensor", Callable[[np.ndarray], None]]] = []
+        self.nodes: list[tuple[str, "Tensor | None", Callable[[np.ndarray], None] | None]] = []  # None once released
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -113,17 +120,28 @@ class Tape:
         self.nodes.append((name, out, backward))
 
     def backward(self, root: "Tensor") -> None:
-        """Seed ``root`` with a gradient of ones and run every rule in reverse."""
+        """Seed ``root`` with a gradient of ones and run every rule in reverse, once.
+
+        Each node is released as soon as its rule has run: its output's
+        gradient and the node's references to the output and the rule are
+        dropped, so the live set shrinks as the replay goes. Only the names
+        stay. Tensors that no rule produced (parameters and inputs) keep their
+        ``.grad``; a replayed tape has nothing left to replay.
+        """
         root.grad = np.ones_like(root.data)
-        for _, out, rule in reversed(self.nodes):
-            if out.grad is None:
-                continue  # branch never reached the root
-            rule(out.grad)
+        nodes = self.nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            name, out, rule = nodes[i]
+            nodes[i] = (name, None, None)
+            # out is None after an earlier replay; no gradient: the branch never reached the root
+            if out is not None and out.grad is not None:
+                g, out.grad = out.grad, None
+                rule(g)
 
     def first_nonfinite(self) -> str | None:
-        """Name of the earliest recorded op whose output went non-finite."""
+        """Name of the earliest recorded op whose output went non-finite; released nodes are skipped."""
         for name, out, _ in self.nodes:
-            if not np.all(np.isfinite(out.data)):
+            if out is not None and not np.all(np.isfinite(out.data)):
                 return name
         return None
 
@@ -159,9 +177,22 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add ``g`` into ``.grad``, taking ownership of it.
+
+        The first gradient is kept as handed over when it is writeable and laid
+        out like ``data``; else it is copied once into ``data``'s layout, so the
+        reductions later rules run over it sum in the same order. Later
+        gradients add in place. The caller hands over an array it made or a
+        view of its own upstream gradient, gives it to no other tensor, and
+        does not read it afterwards.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.writeable and g.shape == self.data.shape and g.strides == self.data.strides:
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
@@ -197,7 +228,9 @@ def _broadcast_op(name: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
         if a.needs_grad:
             a.accumulate(_unbroadcast(da(g), a.shape))
         if b.needs_grad:
-            b.accumulate(_unbroadcast(db(g), b.shape))
+            gb = _unbroadcast(db(g), b.shape)
+            # add hands g itself to both operands: the second gets its own copy
+            b.accumulate(gb.copy() if a.needs_grad and np.may_share_memory(gb, g) else gb)
 
     return _record(name, out, (a, b), rule)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import metacross.cli as cli
+import metacross.harness as harness
 from metacross.cli import GRADCHECK_THRESHOLD, main
 
 
@@ -156,6 +157,29 @@ def test_cls_extent_too_small_names_key_and_minimum(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "config key 'extent': '16' must be >= 18" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train-seg", "n_train", "99999999999999999999"),
+    ("train-seg", "n_eval", "99999999999999999999"),
+    ("train-seg", "extent", "2048"),
+    ("train-cls", "n_train", "99999999999999999999"),
+    ("train-cls", "n_eval", "99999999999999999999"),
+    ("train-cls", "extent", "4096"),
+])
+def test_phantom_set_too_large_names_key_before_generating(tmp_path, capsys, monkeypatch, command, key, value):
+    # the sets were generated whole until memory ran out: a numpy memory-error traceback
+    def refuse(*args, **kwargs):
+        pytest.fail("phantoms were generated")
+
+    monkeypatch.setattr(harness, "generate_seg_phantoms", refuse)
+    monkeypatch.setattr(harness, "generate_cls_phantoms", refuse)
+    base = MICRO_SEG if command == "train-seg" else MICRO_CLS
+    text = "\n".join(f"{key} = {value}" if raw.split("=")[0].strip() == key else raw for raw in base.splitlines())
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 1
+    assert f"config key {key!r}: {value} needs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_removed_seg_options_exit_one(tmp_path, capsys):

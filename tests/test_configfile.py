@@ -158,6 +158,18 @@ def test_cls_extent_bound_fits_the_phantom_radius():
     _cls_phantom_spec(validate_config({"extent": str(low)}, "cls"), 1, 0)
 
 
+def test_phantom_sets_past_the_byte_ceiling_name_their_key():
+    # 1 GiB holds 819 seg samples of 40 bytes per voxel at 32^3, and one cls volume
+    # of 8 bytes per voxel up to extent 512
+    assert validate_config({"n_train": "819", "n_eval": "819"}, "seg")["n_train"] == 819
+    for key in ("n_train", "n_eval"):
+        with pytest.raises(ConfigError, match=f"config key '{key}': 820 needs"):
+            validate_config({key: "820"}, "seg")
+    assert validate_config({"extent": "512", "n_train": "1", "n_eval": "1"}, "cls")["extent"] == 512
+    with pytest.raises(ConfigError, match="config key 'extent': 513 needs"):
+        validate_config({"extent": "513", "n_train": "1", "n_eval": "1"}, "cls")
+
+
 def test_load_config_none_means_defaults():
     values = load_config(None, "cls")
     assert values == validate_config({}, "cls")

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
+from metacross.classifier import ClassifierConfig, FilmClassifier
+from metacross.configfile import validate_config
 from metacross.errors import ConfigError, NumericError, ShapeError
+from metacross.harness import _cls_loss, seg_config_from_values
+from metacross.metadata import ModalityMask
 from metacross.nn import (
     Adam,
     Conv,
@@ -16,6 +20,8 @@ from metacross.nn import (
     optimize,
     parameter,
 )
+from metacross.phantoms import PhantomSpec, generate_cls_phantoms
+from metacross.segmentation import SegBatch, SegModel, train_step
 from metacross.tensor import Tape, Tensor
 
 
@@ -201,3 +207,45 @@ def test_missing_gradient_is_treated_as_zero():
     p.grad = None
     Adam().step([("p", p)], lr=0.1)
     assert p.data[0] == 5.0
+
+
+# ---------------------------------------------------------------------------
+# gradient handover
+
+
+class _AddedPair(Module):
+    """Two parameters that meet in one add: both operands take the add's gradient."""
+
+    def __init__(self):
+        self.a = Tensor(np.ones(3), requires_grad=True)
+        self.b = Tensor(np.full(3, 2.0), requires_grad=True)
+
+    def loss(self) -> Tensor:
+        return T.sum_(T.mul(T.add(self.a, self.b), Tensor([1.0, 2.0, 3.0])))
+
+
+def _assert_no_shared_gradients(model: Module) -> None:
+    grads = [(name, p.grad) for name, p in model.named_parameters() if p.grad is not None]
+    assert len(grads) == len(model.parameters())
+    for i, (a, ga) in enumerate(grads):
+        for b, gb in grads[i + 1:]:
+            assert not np.may_share_memory(ga, gb), f"{a} and {b} share a gradient buffer"
+
+
+def test_no_two_parameters_share_a_gradient_after_a_step():
+    pair = _AddedPair()
+    optimize(pair, pair.loss, Adam(), lr=0.1, weight_decay=0.0, clip=1.0)
+    _assert_no_shared_gradients(pair)
+
+    values = validate_config({"extent": "16"}, "seg")
+    seg = SegModel(seg_config_from_values(values), rng=np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    batch = SegBatch(Tensor(rng.normal(size=(4, 16, 16, 16))), ModalityMask([True] * 4),
+                     (rng.random((16, 16, 16)) < 0.3).astype(np.int64))
+    train_step(seg, batch, Adam())
+    _assert_no_shared_gradients(seg)
+
+    cls = FilmClassifier(ClassifierConfig(), rng=np.random.default_rng(8))
+    samples = generate_cls_phantoms(PhantomSpec(extent=20, n_samples=4, seed=9), 2)
+    optimize(cls, lambda: _cls_loss(cls, samples), Adam(), lr=1e-3, weight_decay=1e-4, clip=1.0)
+    _assert_no_shared_gradients(cls)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,23 @@ def test_train_step_reduces_loss_on_repetition():
         last = train_step(model, batch, opt, lr=3e-3, epoch=epoch, total_epochs=40)
     assert np.isfinite(first) and np.isfinite(last)
     assert last < first
+
+
+def test_default_train_step_releases_the_tape_as_it_goes():
+    # a default-config step peaked at about 29 MB of traced allocations while every
+    # first gradient was zero-filled and added and backward kept every gradient and
+    # tape node to the end of the step; handed over and released, about 16 MB
+    model = SegModel(seg_config_from_values(load_config(None, "seg")), rng=np.random.default_rng(14))
+    batch = _batch(model.cfg, seed=15)
+    opt = Adam()
+    train_step(model, batch, opt, total_epochs=2)  # warm-up: Adam's moments are made once
+    tracemalloc.start()
+    try:
+        train_step(model, batch, opt, epoch=1, total_epochs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"{peak / 1e6:.1f} MB traced peak"
 
 
 def test_train_step_raises_on_poisoned_parameters():

@@ -10,8 +10,10 @@ import resource
 import numpy as np
 import pytest
 
+import metacross.harness as harness
 import metacross.tensor as T
 from metacross.errors import DegenerateMaskError, NumericError, ShapeError
+from metacross.nn import clip_grad_norm
 from metacross.tensor import Tape, Tensor, grad_check
 
 
@@ -540,6 +542,102 @@ def test_first_nonfinite_names_earliest_op():
         y = T.mul(x, x)  # overflows to inf
         T.add(y, y)
     assert tape.first_nonfinite() == "mul"
+
+
+# ---------------------------------------------------------------------------
+# gradient handover and release
+
+
+def test_accumulate_keeps_the_first_gradient_laid_out_like_data():
+    t = Tensor(np.zeros((2, 3)))
+    g = np.arange(6.0).reshape(2, 3)
+    t.accumulate(g)
+    assert t.grad is g
+    t.accumulate(np.ones((2, 3)))  # later gradients add in place
+    assert t.grad is g and np.array_equal(g, np.arange(1.0, 7.0).reshape(2, 3))
+
+    for other in (np.arange(6.0).reshape(3, 2).T, np.broadcast_to(2.0, (2, 3))):  # strided, read-only
+        u = Tensor(np.zeros((2, 3)))
+        u.accumulate(other)
+        assert not np.may_share_memory(u.grad, other)
+        assert u.grad.strides == u.data.strides and np.array_equal(u.grad, other)
+
+
+def test_add_gives_each_operand_its_own_gradient():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.sum_(T.mul(T.add(a, b), Tensor([1.0, 2.0, 3.0]))))
+    assert not np.may_share_memory(a.grad, b.grad)
+    assert clip_grad_norm([a, b], 1.0) == np.sqrt(28.0)
+    want = np.array([1.0, 2.0, 3.0]) * (1.0 / np.sqrt(28.0))  # one in-place scale each
+    assert np.array_equal(a.grad, want) and np.array_equal(b.grad, want)
+
+
+def test_add_of_a_tensor_to_itself_sums_both_contributions():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.sum_(T.mul(T.add(x, x), Tensor([3.0, 5.0]))))
+    assert np.array_equal(x.grad, [6.0, 10.0])
+
+
+def test_backward_releases_everything_but_leaf_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = T.mul(x, x)
+        z = T.sum_(y)
+        tape.backward(z)
+    assert y.grad is None and z.grad is None
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    assert [name for name, _, _ in tape.nodes] == ["mul", "sum"]
+    assert all(out is None and rule is None for _, out, rule in tape.nodes)
+    assert tape.first_nonfinite() is None
+    tape.backward(z)  # replayed once: nothing left to run
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def _zero_fill_accumulate(self, g):  # the accumulate that copied every gradient
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _suite_leaf_gradients(monkeypatch, accumulate, seed):
+    """The bytes of every leaf gradient on the gradcheck suite's graphs, tape only,
+    with the sign of zero dropped."""
+    touched, leaves = {}, []
+
+    def recording(self, g):
+        touched[id(self)] = self
+        accumulate(self, g)
+
+    def tape_only(f, x, h=1e-5):
+        touched.clear()
+        was, x.needs_grad = x.needs_grad, True
+        with Tape() as tape:
+            tape.backward(f(x))
+        x.needs_grad = was
+        for t in touched.values():
+            if t.grad is not None:  # non-leaves were released by backward
+                # + 0.0 turns -0.0 into +0.0, as the zero fill did: a kept gradient
+                # keeps the -0.0 that rules like the masked softmax's 0.0 * (negative) make
+                leaves.append((t.shape, (t.grad + 0.0).tobytes()))
+                t.grad = None
+        return 0.0
+
+    monkeypatch.setattr(Tensor, "accumulate", recording)
+    monkeypatch.setattr(harness, "grad_check", tape_only)
+    harness.gradcheck_suite(seed)
+    monkeypatch.undo()
+    return leaves
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_handover_leaves_gradients_bitwise_unchanged(monkeypatch, seed):
+    kept = _suite_leaf_gradients(monkeypatch, Tensor.accumulate, seed)
+    copied = _suite_leaf_gradients(monkeypatch, _zero_fill_accumulate, seed)
+    assert len(kept) == len(copied) > 20
+    assert kept == copied
 
 
 def test_item_requires_scalar():
