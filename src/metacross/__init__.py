@@ -12,8 +12,7 @@ from .attention import (AttentionConfig, CrossAttentionBlock, PatchTokenizer,
 from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
                          evaluate_accuracy, film_apply, gamma_statistics,
                          permutation_probe)
-from .complexity import (BottleneckConfig, ComplexityReport, LayerCost,
-                         compare_bottlenecks)
+from .complexity import ComplexityReport, LayerCost, compare_bottlenecks
 from .errors import (CheckpointError, ConfigError, DegenerateMaskError,
                      EmptyInputError, NoModalityError, NumericError,
                      ShapeError)

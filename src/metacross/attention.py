@@ -122,11 +122,6 @@ class CrossAttentionBlock(Module):
         ffn = self.ffn_out(T.gelu(self.ffn_in(h)))
         return self.norm_ffn(T.add(h, ffn))
 
-    def cost_rows(self, n_tokens: int, name: str = "cross_attention"):
-        from .complexity import attention_layer_rows
-
-        return attention_layer_rows(name, self.cfg, n_tokens, "metadata_cross")
-
 
 def attention_flops(cfg: AttentionConfig, n_tokens: int, mode: str) -> int:
     """Logit plus weighted-sum FLOPs, one multiply-accumulate = 2 FLOPs.

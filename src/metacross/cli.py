@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import (BottleneckConfig, compare_bottlenecks,
+from .attention import AttentionConfig
+from .complexity import (bottleneck_tokens, compare_bottlenecks,
                          render_comparison_csv, render_comparison_text)
 from .configfile import load_config
 from .errors import NumericError
@@ -77,12 +78,10 @@ def _cmd_sweep(values: dict) -> int:
 
 
 def _cmd_complexity(values: dict) -> int:
-    common = dict(embed_dim=values["embed_dim"], input_extent=values["input_extent"],
-                  patch_size=values["patch_size"], encoder_downsamples=values["encoder_downsamples"],
-                  ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"],
-                  metadata_embed_dim=values["metadata_embed_dim"])
-    comparison = compare_bottlenecks(BottleneckConfig(kind="self_attention", **common),
-                                     BottleneckConfig(kind="metadata_cross", **common))
+    att = AttentionConfig(embed_dim=values["embed_dim"], patch_size=values["patch_size"],
+                          ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"])
+    n = bottleneck_tokens(values["input_extent"], values["encoder_downsamples"], values["patch_size"])
+    comparison = compare_bottlenecks(att, n, values["metadata_embed_dim"])
     out = _outdir(values)
     path = out / "complexity_comparison.csv"
     path.write_text(render_comparison_csv(comparison))

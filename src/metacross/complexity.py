@@ -46,48 +46,23 @@ def conv_flops(n_positions: int, out_ch: int, in_ch: int, kernel_volume: int, bi
 
 
 # ---------------------------------------------------------------------------
-# bottleneck stand-ins
+# bottlenecks
 #
-# The baseline stand-in is one standard self-attention transformer layer on
-# the N spatial tokens (Q/K/V/output projections, two layer norms, 4x FFN).
-# Ours drops the four DxD projections and adds the metadata dictionary with
-# its two E->D projections; the mask, norms, and FFN are shared structure.
+# Ours is the bottleneck SegModel builds: one metadata dictionary with its two
+# E->D projections, shared by every cross-attention layer. The baseline
+# stand-in has, per layer, a standard self-attention transformer layer on the
+# N spatial tokens: Q/K/V/output projections plus the same norms and FFN.
 # The shared patch tokenizer is excluded from both sides.
 
 
-@dataclass
-class BottleneckConfig:
-    """Geometry shared by both bottleneck variants."""
-
-    kind: str  # "self_attention" or "metadata_cross"
-    embed_dim: int = 256
-    input_extent: int = 64
-    patch_size: int = 4
-    encoder_downsamples: int = 1
-    ffn_hidden: int | None = None
-    n_layers: int = 1
-    metadata_embed_dim: int = 16
-
-    def __post_init__(self):
-        if self.kind not in ("self_attention", "metadata_cross"):
-            raise ConfigError(f"unknown bottleneck kind {self.kind!r}")
-        if self.ffn_hidden is None:
-            self.ffn_hidden = 4 * self.embed_dim
-        for field_name in ("embed_dim", "input_extent", "patch_size", "ffn_hidden", "n_layers"):
-            if getattr(self, field_name) < 1:
-                raise ConfigError(f"{field_name} must be positive")
-        down = (2 ** self.encoder_downsamples) * self.patch_size
-        if self.input_extent % down:
-            raise ShapeError(f"input extent {self.input_extent} not divisible by downsample {down}")
-
-    @property
-    def n_tokens(self) -> int:
-        side = self.input_extent // ((2 ** self.encoder_downsamples) * self.patch_size)
-        return side ** 3
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(embed_dim=self.embed_dim, patch_size=self.patch_size,
-                               ffn_hidden=self.ffn_hidden, n_layers=self.n_layers)
+def bottleneck_tokens(input_extent: int, encoder_downsamples: int, patch_size: int) -> int:
+    """Token count N: the cubic patches of side 2^encoder_downsamples * patch_size tiling the input."""
+    # a 2^k above the extent cannot divide it, so a huge k is refused before 2^k is built
+    down = (2 ** encoder_downsamples) * patch_size if encoder_downsamples < input_extent.bit_length() else 0
+    if not down or input_extent % down:
+        raise ShapeError(f"input extent {input_extent} not divisible by downsample "
+                         f"2^{encoder_downsamples} x patch {patch_size}")
+    return (input_extent // down) ** 3
 
 
 def metadata_encoder_row(name: str, embed_dim: int, width: int) -> LayerCost:
@@ -109,19 +84,11 @@ def attention_layer_rows(name: str, att: AttentionConfig, n: int, mode: str) -> 
     ]
 
 
-def bottleneck_rows(cfg: BottleneckConfig) -> list[LayerCost]:
-    """Per-layer cost table for one bottleneck variant."""
-    n, d = cfg.n_tokens, cfg.embed_dim
-    att = cfg.attention_config()
-    rows: list[LayerCost] = []
-    for layer in range(cfg.n_layers):
-        tag = f"layer{layer}"
-        if cfg.kind == "self_attention":
-            rows.append(LayerCost(f"{tag}.qkvo_proj", "linear",
-                                  4 * (d * d + d), 4 * linear_flops(n, d, d, True)))
-        else:
-            rows.append(metadata_encoder_row(f"{tag}.metadata_encoder", cfg.metadata_embed_dim, d))
-        rows.extend(attention_layer_rows(tag, att, n, cfg.kind))
+def metadata_cross_rows(name: str, att: AttentionConfig, n: int, metadata_embed_dim: int) -> list[LayerCost]:
+    """The dictionary once, then one cross-attention block per layer, as SegModel builds them."""
+    rows = [metadata_encoder_row(f"{name}.metadata_encoder", metadata_embed_dim, att.embed_dim)]
+    for i in range(att.n_layers):
+        rows.extend(attention_layer_rows(f"{name}.block{i}", att, n, "metadata_cross"))
     return rows
 
 
@@ -157,18 +124,19 @@ class BottleneckComparison:
         return reduction_pct(self.baseline.total_flops, self.ours.total_flops)
 
 
-def compare_bottlenecks(baseline_cfg: BottleneckConfig, ours_cfg: BottleneckConfig) -> BottleneckComparison:
-    """Cost both variants at identical token count and width."""
-    if baseline_cfg.n_tokens != ours_cfg.n_tokens:
-        raise ConfigError(
-            f"token counts differ: {baseline_cfg.n_tokens} vs {ours_cfg.n_tokens}; compare at matched geometry")
-    if baseline_cfg.embed_dim != ours_cfg.embed_dim:
-        raise ConfigError(f"widths differ: {baseline_cfg.embed_dim} vs {ours_cfg.embed_dim}")
+def compare_bottlenecks(att: AttentionConfig, n_tokens: int, metadata_embed_dim: int) -> BottleneckComparison:
+    """Cost both variants from one geometry: width, FFN and depth from ``att``, N tokens."""
+    d = att.embed_dim
+    baseline: list[LayerCost] = []
+    for i in range(att.n_layers):
+        baseline.append(LayerCost(f"baseline.layer{i}.qkvo_proj", "linear",
+                                  4 * (d * d + d), 4 * linear_flops(n_tokens, d, d, True)))
+        baseline.extend(attention_layer_rows(f"baseline.layer{i}", att, n_tokens, "self_attention"))
     return BottleneckComparison(
-        ComplexityReport(bottleneck_rows(baseline_cfg)),
-        ComplexityReport(bottleneck_rows(ours_cfg)),
-        baseline_cfg.n_tokens,
-        baseline_cfg.embed_dim,
+        ComplexityReport(baseline),
+        ComplexityReport(metadata_cross_rows("ours", att, n_tokens, metadata_embed_dim)),
+        n_tokens,
+        d,
     )
 
 
@@ -177,18 +145,14 @@ def compare_bottlenecks(baseline_cfg: BottleneckConfig, ours_cfg: BottleneckConf
 
 
 def _aligned_rows(comparison: BottleneckComparison) -> list[tuple[str, str, int, int, int, int]]:
-    base = {r.name.split(".", 1)[-1]: r for r in comparison.baseline.rows}
-    ours = {r.name.split(".", 1)[-1]: r for r in comparison.ours.rows}
-    names = list(dict.fromkeys(list(base) + list(ours)))
-    out = []
-    for name in names:
-        b = base.get(name)
-        o = ours.get(name)
-        kind = (b or o).kind
-        out.append((name, kind,
-                    b.params if b else 0, b.flops if b else 0,
-                    o.params if o else 0, o.flops if o else 0))
-    return out
+    """One row per part (the last name component), each side summed over its layers."""
+    parts: dict[str, list] = {}
+    for side, rows in enumerate((comparison.baseline.rows, comparison.ours.rows)):
+        for r in rows:
+            part = parts.setdefault(r.name.rsplit(".", 1)[-1], [r.kind, 0, 0, 0, 0])
+            part[1 + 2 * side] += r.params
+            part[2 + 2 * side] += r.flops
+    return [(name, *part) for name, part in parts.items()]
 
 
 def render_comparison_csv(comparison: BottleneckComparison) -> str:

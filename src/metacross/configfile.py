@@ -37,7 +37,8 @@ _CONVERTERS = {
     "int_list": _to_int_list,
 }
 
-# bounds a value must meet: at least / greater than / one of / inside a closed interval
+# bounds a value must meet: at least / greater than / one of / inside a closed interval /
+# every list entry inside one
 _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
 # phantom levels are normalized image intensities: a noise near 1e308 overflows the
 # phantoms and values past about 1e154 overflow a layer norm's squares, so both are capped far below
@@ -51,9 +52,29 @@ _CLS_MIN_EXTENT = (">=", 18)
 # run long, so they stay unbounded.
 _PHANTOM_BYTES_MAX = 1 << 30
 _PHANTOM_VOXEL_BYTES = {"seg": 40, "cls": 8}
+# Width and depth caps, each far above the defaults, so a typo cannot ask numpy for
+# more memory than the machine has. Each bounds one key; the model's size is their product.
+# Token width: 4x the 256-wide bottleneck the complexity report costs by default; the two
+# D x 4D FFN weights then hold 8.4 M float64 parameters (67 MB before gradients and moments).
+_WIDTH = ("within", (1, 1024))
+# FFN width: the default 4x ratio at the widest embed_dim; 0 means that default.
+_FFN_HIDDEN = ("within", (0, 4096))
+# Bottleneck depth: twice the 12 layers of UNETR's ViT-Base encoder. The complexity
+# report costs the same bottleneck, so it takes the same range.
+_DEPTH = ("within", (1, 24))
+# Seg classes: BraTS labels four; each class is one more extent^3 logit volume.
+_SEG_CLASSES = ("within", (2, 16))
+# Seg conv channels: 16x the widest default stage, under nnU-Net's 320-channel cap; one
+# 256-channel float64 map at the default extent 32 is 67 MB.
+_SEG_CHANNELS = ("all within", (1, 256))
+# Cls stage channels: 4x the default deepest 128; a 512-channel 3x3 conv holds 2.4 M weights.
+_CLS_CHANNELS = ("all within", (1, 512))
 _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed,
-              # a non-finite value passes here so the finiteness check names it
-              "within": lambda value, span: not math.isfinite(value) or span[0] <= value <= span[1]}
+              # a non-finite float passes here so the finiteness check names it; an int of
+              # any size is compared exactly, never converted to float
+              "within": lambda value, span: (span[0] <= value <= span[1]
+                                             or isinstance(value, float) and not math.isfinite(value)),
+              "all within": lambda values, span: all(span[0] <= v <= span[1] for v in values)}
 
 # schema entries: key -> (type name, default[, bound])
 _COMMON = {
@@ -70,17 +91,17 @@ _SEG = {
     "lr": ("float", 2e-4, _POSITIVE),
     "weight_decay": ("float", 1e-4, _AT_LEAST_0),
     "clip": ("float", 1.0, _POSITIVE),
-    "embed_dim": ("int", 32, _AT_LEAST_1),
+    "embed_dim": ("int", 32, _WIDTH),
     "patch_size": ("int", 4, _AT_LEAST_1),
-    "n_layers": ("int", 1, _AT_LEAST_1),
-    "ffn_hidden": ("int", 0, _AT_LEAST_0),  # 0 means the 4x embed_dim default
-    "encoder_channels": ("int_list", (8,)),
-    "decoder_channels": ("int_list", (16, 8, 8)),
-    "n_seg_classes": ("int", 2),
+    "n_layers": ("int", 1, _DEPTH),
+    "ffn_hidden": ("int", 0, _FFN_HIDDEN),  # 0 means the 4x embed_dim default
+    "encoder_channels": ("int_list", (8,), _SEG_CHANNELS),
+    "decoder_channels": ("int_list", (16, 8, 8), _SEG_CHANNELS),
+    "n_seg_classes": ("int", 2, _SEG_CLASSES),
     "deep_supervision": ("bool", True),
     "ds_decay": ("float", 0.4),
     "ds_decay_epoch_fraction": ("float", 0.5),
-    "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
+    "metadata_embed_dim": ("int", 16, _WIDTH),
     "radius_min": ("float", 4.0),
     "radius_max": ("float", 9.0),
     # one value left; the key stays so existing configs that set it still load
@@ -108,7 +129,7 @@ _CLS = {
     "lr": ("float", 1e-3, _POSITIVE),
     "weight_decay": ("float", 1e-4, _AT_LEAST_0),
     "clip": ("float", 1.0, _POSITIVE),
-    "stage_channels": ("int_list", (16, 32, 64, 128)),
+    "stage_channels": ("int_list", (16, 32, 64, 128), _CLS_CHANNELS),
     "film_stages": ("int_list", (2, 3)),
     "trials": ("int", 20, _AT_LEAST_1),
 }
@@ -120,7 +141,7 @@ _COMPLEXITY = {
     "patch_size": ("int", 4, _AT_LEAST_1),
     "encoder_downsamples": ("int", 1, _AT_LEAST_0),
     "ffn_hidden": ("int", 0, _AT_LEAST_0),
-    "n_layers": ("int", 1, _AT_LEAST_1),
+    "n_layers": ("int", 1, _DEPTH),
     "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
 }
 

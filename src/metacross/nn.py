@@ -169,15 +169,13 @@ class Adam:
             if weight_decay:
                 p.data -= lr * weight_decay * p.data
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            else:
-                v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[name], self.v[name] = m, v
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 

@@ -200,7 +200,7 @@ class SegModel(Module):
         return T.reshape(logits, (cfg.n_seg_classes,) + (cfg.extent,) * 3), aux
 
     def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "seg"):
-        from .complexity import LayerCost, metadata_encoder_row
+        from .complexity import LayerCost, metadata_cross_rows
 
         cfg = self.cfg
         rows: list[LayerCost] = []
@@ -211,11 +211,7 @@ class SegModel(Module):
                 rows.extend(conv.cost_rows((1, conv.in_ch, ext, ext, ext), name=f"{name}.stem{m}.{j}"))
                 ext = conv.output_extent(ext)
         rows.extend(self.tokenizer.cost_rows(name=f"{name}.tokenizer"))
-        n = cfg.n_tokens
-        rows.append(metadata_encoder_row(f"{name}.metadata_encoder", cfg.metadata_embed_dim,
-                                         cfg.attention.embed_dim))
-        for i, block in enumerate(self.blocks):
-            rows.extend(block.cost_rows(n, name=f"{name}.block{i}"))
+        rows.extend(metadata_cross_rows(name, cfg.attention, cfg.n_tokens, cfg.metadata_embed_dim))
         ext = cfg.grid_extent
         for i, conv in enumerate(self.decoder):
             ext *= 2

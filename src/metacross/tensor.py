@@ -342,15 +342,14 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def rule(g: np.ndarray) -> None:
         if not x.needs_grad:
             return
-        if axis is None:
-            x.accumulate(np.broadcast_to(g, x.shape).copy() if keepdims else np.full(x.shape, float(g)))
-            return
         gg = g
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(a % x.ndim for a in axes):
                 gg = np.expand_dims(gg, ax)
-        x.accumulate(np.broadcast_to(gg, x.shape).copy())
+        gx = np.empty_like(x.data)  # x's layout, so accumulate keeps it without a second copy
+        gx[...] = gg
+        x.accumulate(gx)
 
     return _record("sum", out, (x,), rule)
 

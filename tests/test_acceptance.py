@@ -18,7 +18,7 @@ import metacross.tensor as T
 from metacross import cli
 from metacross.attention import AttentionConfig, CrossAttentionBlock, attention_flops
 from metacross.classifier import ClassifierConfig, FilmClassifier, film_apply
-from metacross.complexity import BottleneckConfig, compare_bottlenecks
+from metacross.complexity import bottleneck_tokens, compare_bottlenecks
 from metacross.configfile import validate_config
 from metacross.harness import enumerate_scenarios, gradcheck_suite, train_segmentation
 from metacross.metadata import ModalityMask, N_MODALITIES
@@ -163,12 +163,10 @@ def test_criterion_5_complexity_ratios():
     assert ratio == 4096 // N_MODALITIES == 1024
 
     values = validate_config({}, "complexity")
-    common = dict(embed_dim=values["embed_dim"], input_extent=values["input_extent"],
-                  patch_size=values["patch_size"], encoder_downsamples=values["encoder_downsamples"],
-                  ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"],
-                  metadata_embed_dim=values["metadata_embed_dim"])
-    comparison = compare_bottlenecks(BottleneckConfig(kind="self_attention", **common),
-                                     BottleneckConfig(kind="metadata_cross", **common))
+    geometry = AttentionConfig(embed_dim=values["embed_dim"], patch_size=values["patch_size"],
+                               ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"])
+    n = bottleneck_tokens(values["input_extent"], values["encoder_downsamples"], values["patch_size"])
+    comparison = compare_bottlenecks(geometry, n, values["metadata_embed_dim"])
     p_red = comparison.params_reduction_pct
     f_red = comparison.flops_reduction_pct
     elapsed = time.perf_counter() - start

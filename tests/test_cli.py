@@ -182,6 +182,27 @@ def test_phantom_set_too_large_names_key_before_generating(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train-seg", "embed_dim", "100000"),
+    ("train-seg", "encoder_channels", "1000000"),
+    ("train-cls", "stage_channels", "4, 1000000"),
+    ("complexity", "n_layers", "99999999999999999999"),
+])
+def test_oversized_width_or_depth_names_key_before_building(tmp_path, capsys, monkeypatch, command, key, value):
+    def refuse(*args, **kwargs):
+        pytest.fail("the run went past config validation")
+
+    for name in ("generate_seg_phantoms", "generate_cls_phantoms", "SegModel", "FilmClassifier"):
+        monkeypatch.setattr(harness, name, refuse)
+    monkeypatch.setattr(cli, "compare_bottlenecks", refuse)
+    base = {"train-seg": MICRO_SEG, "train-cls": MICRO_CLS, "complexity": ""}[command]
+    text = "\n".join(raw for raw in base.splitlines() if raw.split("=")[0].strip() != key) + f"\n{key} = {value}\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 1
+    assert f"config key {key!r}: {value!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_seg_options_exit_one(tmp_path, capsys):
     for line in ("direct_patch = true", "gate_missing = false"):
         cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + line + "\n")
@@ -244,6 +265,14 @@ def test_complexity_is_byte_identical_across_runs(tmp_path, capsys):
     assert first == second
     assert (out_a / "complexity_comparison.csv").read_bytes() == \
         (out_b / "complexity_comparison.csv").read_bytes()
+
+
+def test_complexity_token_count_errors_exit_one(tmp_path, capsys):
+    for line in ("input_extent = 60", "encoder_downsamples = 99999999999999999999"):
+        cfg = _write(tmp_path, "cx.cfg", line + "\n")
+        assert main(["complexity", "--config", cfg, "--out", str(tmp_path / "cx")]) == 1
+        assert "not divisible by downsample" in capsys.readouterr().err
+    assert not (tmp_path / "cx").exists()
 
 
 # ---------------------------------------------------------------------------

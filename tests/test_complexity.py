@@ -11,10 +11,8 @@ from metacross.complexity import (
     RELU_FLOPS_PER_ELEMENT,
     REPORT_HEADER,
     SOFTMAX_FLOPS_PER_ELEMENT,
-    BottleneckConfig,
-    ComplexityReport,
     LayerCost,
-    bottleneck_rows,
+    bottleneck_tokens,
     compare_bottlenecks,
     conv_flops,
     linear_flops,
@@ -61,96 +59,107 @@ def test_count_params_and_flops_on_layers():
 
 
 # ---------------------------------------------------------------------------
-# bottleneck stand-ins
+# bottlenecks
+
+def _reference(n_layers: int = 1):
+    # reference geometry: N=512 tokens, D=256, FFN 1024, E=16
+    att = AttentionConfig(embed_dim=256, n_layers=n_layers)
+    return compare_bottlenecks(att, bottleneck_tokens(64, 1, 4), 16)
 
 
 def test_bottleneck_token_count():
-    cfg = BottleneckConfig(kind="self_attention")
     # 64 input, one stride-2 downsample, patch 4: (64 / 8)^3 = 512 tokens
-    assert cfg.n_tokens == 512
-    assert cfg.ffn_hidden == 1024  # 4x width default
+    assert bottleneck_tokens(64, 1, 4) == 512
+    assert bottleneck_tokens(64, 0, 4) == 4096
+    assert AttentionConfig(embed_dim=256).ffn_hidden == 1024  # 4x width default
 
 
-def test_bottleneck_config_validation():
-    with pytest.raises(ConfigError, match="unknown bottleneck kind"):
-        BottleneckConfig(kind="typo")
-    with pytest.raises(ConfigError):
-        BottleneckConfig(kind="self_attention", embed_dim=0)
+def test_bottleneck_token_count_rejects_a_non_dividing_downsample():
     with pytest.raises(ShapeError, match="not divisible"):
-        BottleneckConfig(kind="self_attention", input_extent=60)
+        bottleneck_tokens(60, 1, 4)
+    with pytest.raises(ShapeError, match="not divisible"):
+        bottleneck_tokens(64, 5, 4)
+    # a downsample exponent far past the extent is refused without building 2^k
+    with pytest.raises(ShapeError, match="not divisible"):
+        bottleneck_tokens(64, 10 ** 20, 4)
 
 
 def test_reference_totals_are_frozen():
-    # reference geometry: N=512 tokens, D=256, FFN 1024, E=16, one layer
-    base = ComplexityReport(bottleneck_rows(BottleneckConfig(kind="self_attention")))
-    ours = ComplexityReport(bottleneck_rows(BottleneckConfig(kind="metadata_cross")))
-
+    cmp = _reference()
     # baseline params: qkvo 4*(256^2+256)=263,168; norms 1024; ffn 525,568
-    assert base.total_params == 789_760
-    # ours params: encoder 4*16 + 2*(16*256+256)=8,512; norms 1024; ffn 525,568
-    assert ours.total_params == 535_360
+    assert cmp.baseline.total_params == 789_760
+    # ours params: encoder 4*16 + 2*(16*256+256)=8,768; norms 1024; ffn 525,568
+    assert cmp.ours.total_params == 535_360
 
-    assert base.total_flops == 1_082_523_648
-    assert ours.total_flops == 545_992_704
+    assert cmp.baseline.total_flops == 1_082_523_648
+    assert cmp.ours.total_flops == 545_992_704
 
 
 def test_reference_totals_match_component_sums():
-    base_rows = bottleneck_rows(BottleneckConfig(kind="self_attention"))
-    by_name = {r.name: r for r in base_rows}
+    cmp = _reference()
+    by_name = {r.name: r for r in cmp.baseline.rows}
     n, d, f = 512, 256, 1024
-    assert by_name["layer0.qkvo_proj"].params == 4 * (d * d + d)
-    assert by_name["layer0.qkvo_proj"].flops == 4 * (2 * n * d * d + n * d)
-    assert by_name["layer0.attend"].flops == 4 * n * n * d + 5 * n * n
-    assert by_name["layer0.norms"].params == 4 * d
-    assert by_name["layer0.norms"].flops == 2 * 8 * n * d
-    assert by_name["layer0.ffn"].params == d * f + f + f * d + d
-    assert by_name["layer0.ffn"].flops == (2 * n * d * f + n * f) + 8 * n * f + (2 * n * f * d + n * d)
+    assert by_name["baseline.layer0.qkvo_proj"].params == 4 * (d * d + d)
+    assert by_name["baseline.layer0.qkvo_proj"].flops == 4 * (2 * n * d * d + n * d)
+    assert by_name["baseline.layer0.attend"].flops == 4 * n * n * d + 5 * n * n
+    assert by_name["baseline.layer0.norms"].params == 4 * d
+    assert by_name["baseline.layer0.norms"].flops == 2 * 8 * n * d
+    assert by_name["baseline.layer0.ffn"].params == d * f + f + f * d + d
+    assert by_name["baseline.layer0.ffn"].flops == (2 * n * d * f + n * f) + 8 * n * f + (2 * n * f * d + n * d)
 
-    ours_rows = bottleneck_rows(BottleneckConfig(kind="metadata_cross"))
-    by_name = {r.name: r for r in ours_rows}
+    by_name = {r.name: r for r in cmp.ours.rows}
     e, m = 16, 4
-    assert by_name["layer0.metadata_encoder"].params == m * e + 2 * (e * d + d)
-    assert by_name["layer0.metadata_encoder"].flops == 2 * (2 * m * e * d + m * d)
-    assert by_name["layer0.attend"].flops == 4 * n * m * d + 5 * n * m
+    assert by_name["ours.metadata_encoder"].params == m * e + 2 * (e * d + d)
+    assert by_name["ours.metadata_encoder"].flops == 2 * (2 * m * e * d + m * d)
+    assert by_name["ours.block0.attend"].flops == 4 * n * m * d + 5 * n * m
 
 
 @pytest.mark.parametrize("n_layers, deep_supervision", [(1, False), (2, False), (1, True)])
-def test_seg_model_rows_match_bottleneck_rows(n_layers, deep_supervision):
-    # the model's own cost table and the stand-in agree at matched geometry
+def test_seg_model_rows_match_the_comparison(n_layers, deep_supervision):
+    # the comparison costs the bottleneck the model builds, row for row
     att = AttentionConfig(embed_dim=8, patch_size=2, ffn_hidden=12, n_layers=n_layers)
     cfg = SegConfig(extent=16, attention=att, encoder_channels=(4,), decoder_channels=(8, 4),
                     deep_supervision=deep_supervision, metadata_embed_dim=6)
     model = SegModel(cfg, rng=np.random.default_rng(0))
-    seg = {r.name: r for r in model.cost_rows()}
-    assert ("seg.aux0" in seg) == deep_supervision
-    matched = BottleneckConfig(kind="metadata_cross", embed_dim=8, input_extent=16, patch_size=2,
-                               encoder_downsamples=1, ffn_hidden=12,
-                               n_layers=n_layers, metadata_embed_dim=6)
-    assert matched.n_tokens == cfg.n_tokens
-    for row in bottleneck_rows(matched):
-        layer, part = row.name.split(".")
-        # the model builds one dictionary for all its layers
-        name = "seg.metadata_encoder" if part == "metadata_encoder" else f"seg.block{layer[5:]}.{part}"
-        assert (seg[name].kind, seg[name].params, seg[name].flops) == (row.kind, row.params, row.flops)
+    rows = model.cost_rows()
+    assert any(r.name == "seg.aux0" for r in rows) == deep_supervision
+    n = bottleneck_tokens(16, 1, 2)
+    assert n == cfg.n_tokens
+    bottleneck = [(r.name.split(".", 1)[1], r.kind, r.params, r.flops) for r in rows
+                  if r.name == "seg.metadata_encoder" or r.name.startswith("seg.block")]
+    ours = compare_bottlenecks(att, n, 6).ours.rows
+    assert [(r.name.split(".", 1)[1], r.kind, r.params, r.flops) for r in ours] == bottleneck
+    # the model builds one dictionary for all its layers
+    assert len(bottleneck) == 1 + 3 * n_layers
     # the formulas count exactly the parameters the modules hold
-    assert sum(r.params for r in seg.values()) == _n_params(model)
+    assert sum(r.params for r in rows) == _n_params(model)
 
 
 def test_reduction_percentages():
-    cmp = compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                              BottleneckConfig(kind="metadata_cross"))
+    cmp = _reference()
     assert cmp.params_reduction_pct == 32.2
     assert cmp.flops_reduction_pct == 49.6
 
 
 def test_layers_scale_both_sides():
-    cmp = compare_bottlenecks(
-        BottleneckConfig(kind="self_attention", n_layers=2),
-        BottleneckConfig(kind="metadata_cross", n_layers=2))
-    one = compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                              BottleneckConfig(kind="metadata_cross"))
+    cmp, one = _reference(n_layers=2), _reference()
     assert cmp.baseline.total_flops == 2 * one.baseline.total_flops
-    assert cmp.ours.total_params == 2 * one.ours.total_params
+    assert cmp.baseline.total_params == 2 * one.baseline.total_params
+    # every layer but the one shared dictionary doubles
+    encoder = next(r for r in one.ours.rows if r.name == "ours.metadata_encoder")
+    assert cmp.ours.total_params == 2 * one.ours.total_params - encoder.params
+    assert cmp.ours.total_flops == 2 * one.ours.total_flops - encoder.flops
+
+
+def test_two_layer_report_rows_add_up_to_the_total():
+    lines = render_comparison_csv(_reference(n_layers=2)).strip().split("\n")
+    body = [line.split(",") for line in lines[2:-1]]
+    total = lines[-1].split(",")
+    for col in range(2, 6):
+        assert sum(int(row[col]) for row in body) == int(total[col])
+    # the dictionary is counted once, not once per layer
+    assert total[4:] == ["1061952", "1091917824", "32.8", "49.6"]
+    assert total[2:4] == ["1579520", "2165047296"]
 
 
 def test_reduction_pct_rounding_and_errors():
@@ -161,22 +170,12 @@ def test_reduction_pct_rounding_and_errors():
         reduction_pct(0, 5)
 
 
-def test_compare_requires_matched_geometry():
-    with pytest.raises(ConfigError, match="token counts differ"):
-        compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                            BottleneckConfig(kind="metadata_cross", input_extent=32))
-    with pytest.raises(ConfigError, match="widths differ"):
-        compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                            BottleneckConfig(kind="metadata_cross", embed_dim=128))
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
 
 def test_render_comparison_csv_schema():
-    cmp = compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                              BottleneckConfig(kind="metadata_cross"))
+    cmp = _reference()
     lines = render_comparison_csv(cmp).strip().split("\n")
     assert lines[0] == REPORT_HEADER
     assert lines[1].split(",") == ["layer", "kind", "baseline_params", "baseline_flops",
@@ -193,8 +192,7 @@ def test_render_comparison_csv_schema():
 
 
 def test_render_comparison_text_footer():
-    cmp = compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                              BottleneckConfig(kind="metadata_cross"))
+    cmp = _reference()
     text = render_comparison_text(cmp)
     assert text.startswith(REPORT_HEADER)
     assert "tokens N=512, width D=256" in text
@@ -203,8 +201,6 @@ def test_render_comparison_text_footer():
 
 
 def test_rendering_is_deterministic():
-    a = render_comparison_csv(compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                                                  BottleneckConfig(kind="metadata_cross")))
-    b = render_comparison_csv(compare_bottlenecks(BottleneckConfig(kind="self_attention"),
-                                                  BottleneckConfig(kind="metadata_cross")))
+    a = render_comparison_csv(_reference())
+    b = render_comparison_csv(_reference())
     assert a == b

@@ -170,6 +170,33 @@ def test_phantom_sets_past_the_byte_ceiling_name_their_key():
         validate_config({"extent": "513", "n_train": "1", "n_eval": "1"}, "cls")
 
 
+def _assert_capped(task, key, top, over):
+    validate_config({key: top}, task)  # the cap itself is accepted
+    with pytest.raises(ConfigError, match=f"config key {key!r}: {over!r} must be"):
+        validate_config({key: over}, task)
+
+
+def test_seg_width_and_depth_keys_have_caps_that_name_them():
+    # embed_dim = 100000 went on to an uncaught numpy memory-error traceback
+    for key, top in (("embed_dim", "1024"), ("metadata_embed_dim", "1024"), ("ffn_hidden", "4096"),
+                     ("n_layers", "24"), ("n_seg_classes", "16")):
+        _assert_capped("seg", key, top, str(int(top) + 1))
+    _assert_capped("seg", "embed_dim", "1024", "1" + "0" * 400)  # compared exactly, not as a float
+    _assert_capped("seg", "encoder_channels", "256", "8, 257")
+    _assert_capped("seg", "decoder_channels", "256, 8, 8", "16, 8, 257")
+    with pytest.raises(ConfigError, match="config key 'decoder_channels': '16, 0, 8' must be all within"):
+        validate_config({"decoder_channels": "16, 0, 8"}, "seg")
+
+
+def test_cls_stage_channels_have_a_cap_that_names_the_key():
+    # stage_channels = 16,32,64,1000000 went on to an uncaught numpy memory-error traceback
+    _assert_capped("cls", "stage_channels", "16, 32, 64, 512", "16,32,64,1000000")
+
+
+def test_complexity_depth_has_a_cap_that_names_the_key():
+    _assert_capped("complexity", "n_layers", "24", "25")
+
+
 def test_load_config_none_means_defaults():
     values = load_config(None, "cls")
     assert values == validate_config({}, "cls")

@@ -171,6 +171,27 @@ def test_adam_state_tracks_parameters_by_name():
     assert opt.t == 2
 
 
+def test_adam_in_place_moments_match_the_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = {"w": (3, 4), "b": (4,), "k": (2, 1, 3, 3)}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    want = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    opt, b1, b2, eps, lr, wd = Adam(), 0.9, 0.999, 1e-8, 0.01, 0.1
+    for t in range(1, 4):
+        for n, p in params.items():
+            p.grad = rng.normal(size=shapes[n])
+            want[n] -= lr * wd * want[n]
+            m[n] = b1 * m[n] + (1.0 - b1) * p.grad
+            v[n] = b2 * v[n] + (1.0 - b2) * (p.grad * p.grad)
+            want[n] -= lr * (m[n] / (1.0 - b1 ** t)) / (np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+        opt.step(list(params.items()), lr=lr, weight_decay=wd)
+    for n, p in params.items():
+        assert p.data.tobytes() == want[n].tobytes()
+        assert opt.m[n].tobytes() == m[n].tobytes() and opt.v[n].tobytes() == v[n].tobytes()
+
+
 def test_adam_descends_a_quadratic():
     # minimize (x - 3)^2 from x = 0
     x = Tensor(np.array([0.0]), requires_grad=True)

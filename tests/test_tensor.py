@@ -563,6 +563,30 @@ def test_accumulate_keeps_the_first_gradient_laid_out_like_data():
         assert u.grad.strides == u.data.strides and np.array_equal(u.grad, other)
 
 
+@pytest.mark.parametrize("axis, keepdims", [(None, False), (None, True), (0, False), (1, True),
+                                            ((0, 2), False), (-1, False)])
+def test_sum_hands_its_gradient_over_in_the_data_layout(monkeypatch, axis, keepdims):
+    data = np.random.default_rng(2).normal(size=(4, 3, 2)).transpose(2, 0, 1)  # strided, like the head logits
+    x = Tensor(data, requires_grad=True)
+    kept = []
+    original = Tensor.accumulate
+
+    def accumulate(self, g):
+        original(self, g)
+        kept.append(self.grad is g)
+
+    monkeypatch.setattr(Tensor, "accumulate", accumulate)
+    with Tape() as tape:
+        s = T.sum_(x, axis=axis, keepdims=keepdims)
+        tape.backward(T.sum_(T.mul(s, Tensor(np.arange(1.0, s.size + 1).reshape(s.shape)))))
+    assert kept[-1]  # no second copy into x's layout
+    assert x.grad.strides == x.data.strides
+    w = np.arange(1.0, s.size + 1).reshape(s.shape)
+    if axis is not None and not keepdims:
+        w = np.expand_dims(w, tuple(a % 3 for a in (axis if isinstance(axis, tuple) else (axis,))))
+    assert np.array_equal(x.grad, np.broadcast_to(w, x.shape))
+
+
 def test_add_gives_each_operand_its_own_gradient():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
