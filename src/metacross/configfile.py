@@ -69,6 +69,15 @@ _SEG_CLASSES = ("within", (2, 16))
 _SEG_CHANNELS = ("all within", (1, 256))
 # Cls stage channels: 4x the default deepest 128; a 512-channel 3x3 conv holds 2.4 M weights.
 _CLS_CHANNELS = ("all within", (1, 512))
+# A model's size is a product of several keys, so both tasks also cap the float64 bytes of
+# its parameters plus its largest activation (seg: one volume; cls: one training batch or
+# the evaluation set).
+# A training step peaked at 6-10x these bytes, measured on 2 CPUs (seg at extent 64 and 128,
+# embed_dim 1024 and 256-channel decoders; cls batches of 256 and 1024 at extent 64): the
+# forward keeps its activations for backward, and every parameter has a gradient and two
+# Adam moments. 256 MiB thus keeps a run under about 2.5 GB and holds 3x the largest
+# single-cap seg model (embed_dim 1024: 9.5 M parameters, 76 MB).
+_MODEL_BYTES_MAX = 1 << 28
 _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: value in allowed,
               # a non-finite float passes here so the finiteness check names it; an int of
               # any size is compared exactly, never converted to float
@@ -210,6 +219,7 @@ def validate_config(pairs: dict[str, str], task: str, overrides: dict | None = N
             values[key] = _checked(_spec(schema, key, task), key, value, value)
     if task in _PHANTOM_VOXEL_BYTES:
         _check_phantom_bytes(values, _PHANTOM_VOXEL_BYTES[task])
+        _check_model_bytes(values, task)
     return values
 
 
@@ -221,6 +231,52 @@ def _check_phantom_bytes(values: dict, voxel_bytes: int) -> None:
         if n * sample > _PHANTOM_BYTES_MAX:
             raise ConfigError(f"config key {key!r}: {values[key]} needs {n * sample} bytes of phantoms, "
                               f"more than the {_PHANTOM_BYTES_MAX} a set may hold")
+
+
+def _seg_sizes(v: dict) -> tuple[list, list]:
+    """(keys, float64 count) of the seg model's larger parameter blocks and of its activations."""
+    e, p, d, enc, dec = v["extent"], v["patch_size"], v["embed_dim"], v["encoder_channels"], v["decoder_channels"]
+    grid = e // (2 ** len(enc) * p)
+    params = [(("encoder_channels",), 4 * 27 * sum(a * b for a, b in zip((1,) + enc, enc))),  # four stems
+              (("encoder_channels", "patch_size", "embed_dim"), enc[-1] * p ** 3 * d),
+              (("extent", "patch_size", "embed_dim"), grid ** 3 * d),
+              (("metadata_embed_dim", "embed_dim"), 2 * v["metadata_embed_dim"] * d),
+              (("embed_dim", "ffn_hidden", "n_layers"), v["n_layers"] * 2 * d * (v["ffn_hidden"] or 4 * d)),
+              (("embed_dim", "decoder_channels"), 27 * sum(a * b for a, b in zip((d,) + dec, dec)))]
+    acts = [(("extent",), 4 * e ** 3), (("extent", "n_seg_classes"), v["n_seg_classes"] * e ** 3)]
+    acts += [(("extent", "encoder_channels"), c * (e >> j + 1) ** 3) for j, c in enumerate(enc)]
+    acts += [(("extent", "decoder_channels"), c * (grid << i + 1) ** 3) for i, c in enumerate(dec)]
+    return params, acts
+
+
+def _cls_sizes(v: dict) -> tuple[list, list]:
+    """(keys, float64 count) of the classifier's conv weights and of the activations of a
+    training batch and of the evaluation set, which runs as one forward."""
+    e, chans = v["extent"], v["stage_channels"]
+    params = [(("stage_channels",), 9 * sum(a * c for a, c in zip((1,) + chans, chans)))]
+    acts = []
+    for rows, keys in ((v["batch"], ("batch",)), (v["n_eval"] * v["slices_per_volume"], ("n_eval", "slices_per_volume"))):
+        acts.append((keys + ("extent",), rows * e * e))
+        acts += [(keys + ("extent", "stage_channels"), rows * c * (e >> i + 1) ** 2) for i, c in enumerate(chans)]
+    return params, acts
+
+
+def _check_model_bytes(values: dict, task: str) -> None:
+    """A ConfigError naming the keys of the largest product if the parameters plus the largest
+    activation need more than _MODEL_BYTES_MAX; an empty channel list is left to the
+    model's own check."""
+    if task == "seg" and values["encoder_channels"] and values["decoder_channels"]:
+        params, acts = _seg_sizes(values)
+    elif task == "cls" and values["stage_channels"]:
+        params, acts = _cls_sizes(values)
+    else:
+        return
+    largest = max(acts, key=lambda t: t[1])
+    need = 8 * (sum(n for _, n in params) + largest[1])
+    if need > _MODEL_BYTES_MAX:
+        keys = max(params + [largest], key=lambda t: t[1])[0]
+        raise ConfigError(f"config keys {', '.join(map(repr, keys))}: the {task} model needs about {need} bytes "
+                          f"of parameters and largest activation, more than the {_MODEL_BYTES_MAX} a run may hold")
 
 
 def load_config(path: str | Path | None, task: str, overrides: dict | None = None) -> dict:

@@ -343,7 +343,14 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
     target = rng.integers(0, 2, size=(8, 8, 8))
     logits = Tensor(rng.uniform(-2, 2, (2, 8, 8, 8)))
     small = Tensor(rng.uniform(-2, 2, (2, 4, 4, 4)))
-    results["combined_loss"] = grad_check(
-        lambda t: combined_loss(t, target, [small], epoch=1, total_epochs=2, cfg=cfg), logits, h=1e-5)
+    # three classes: two can hide a wrong softmax Jacobian
+    target3 = rng.integers(0, 3, size=(8, 8, 8))
+    logits3 = Tensor(rng.uniform(-2, 2, (3, 8, 8, 8)))
+    results["combined_loss"] = max(
+        grad_check(lambda t: combined_loss(t, target, [small], epoch=1, total_epochs=2, cfg=cfg), logits, h=1e-5),
+        # the aux head at weight ds_decay = 0.4
+        grad_check(lambda t: combined_loss(logits, target, [t], epoch=1, total_epochs=2, cfg=cfg), small, h=1e-5),
+        grad_check(lambda t: combined_loss(t, target3, [], cfg=cfg), logits3, h=1e-5),
+    )
 
     return results

@@ -23,6 +23,7 @@ from .tensor import Tensor
 CHECKPOINT_MAGIC = b"MCKP"
 CHECKPOINT_VERSION = 1
 _MAX_RANK = 8  # parameters here are rank 1-5; a larger rank byte is corruption
+_DICE_SMOOTH = 1e-7  # added to each class's soft Dice numerator and denominator
 
 
 @dataclass
@@ -247,37 +248,42 @@ def _one_hot(target: np.ndarray, n_classes: int) -> np.ndarray:
     return (classes == target).astype(np.float64)
 
 
-def cross_entropy_mean(log_probs: Tensor, target: np.ndarray) -> Tensor:
-    """Mean per-position cross entropy from the class-axis ``log_softmax`` of the
-    logits; the class axis is the leading one."""
-    onehot = Tensor(_one_hot(target, log_probs.shape[0]))
-    n_positions = int(np.prod(target.shape))
-    return T.scale(T.sum_(T.mul(onehot, log_probs)), -1.0 / n_positions)
-
-
-def soft_dice_mean(log_probs: Tensor, target: np.ndarray, smooth: float = 1e-7) -> Tensor:
-    """Mean soft Dice over classes, on the softmax probabilities ``exp(log_probs)``."""
-    onehot = _one_hot(target, log_probs.shape[0])
-    probs = T.exp(log_probs)
-    spatial = tuple(range(1, probs.ndim))
-    num = T.add(T.scale(T.sum_(T.mul(probs, Tensor(onehot)), axis=spatial), 2.0), Tensor(smooth))
-    den = T.add(T.add(T.sum_(probs, axis=spatial), Tensor(onehot.sum(axis=spatial))), Tensor(smooth))
-    return T.mean(T.div(num, den))
-
-
 def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Cross entropy plus (1 - soft Dice), both read from one log_softmax."""
-    log_probs = T.log_softmax(logits, axis=0)
-    return T.add(cross_entropy_mean(log_probs, target), T.sub(Tensor(1.0), soft_dice_mean(log_probs, target)))
+    """Mean cross entropy plus (1 - mean soft Dice) over the leading class axis, as one tape op.
+
+    Both read one softmax p. The gradient is (p - onehot) / N plus the Dice
+    gap's gradient in p pulled back through the softmax Jacobian."""
+    x, n_classes, n = logits.data, logits.shape[0], target.size
+    spatial = tuple(range(1, x.ndim))
+    z = x - x.max(axis=0, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+    onehot, p = _one_hot(target, n_classes), np.exp(log_p)
+    num = (p * onehot).sum(axis=spatial) * 2.0 + _DICE_SMOOTH
+    den = p.sum(axis=spatial) + onehot.sum(axis=spatial) + _DICE_SMOOTH
+    out = Tensor((onehot * log_p).sum() * (-1.0 / n) + (1.0 - (num / den).sum() * (1.0 / n_classes)))
+
+    def rule(g: np.ndarray) -> None:
+        per_class = (n_classes,) + (1,) * len(spatial)
+        # d(1 - Dice)/dp, less its p-weighted sum over classes (the softmax Jacobian)
+        d = ((num / (den * den)).reshape(per_class) - onehot * (2.0 / den).reshape(per_class)) * (1.0 / n_classes)
+        d -= (p * d).sum(axis=0, keepdims=True)
+        gx = np.multiply(p, d, out=np.empty_like(x))  # the logits' layout, so accumulate keeps it
+        gx += (p - onehot) * (1.0 / n)
+        gx *= g
+        logits.accumulate(gx)
+
+    return T._record("ce_dice_gap", out, (logits,), rule)
 
 
 def combined_loss(logits: Tensor, target: np.ndarray, aux_logits: list[Tensor] = (),
                   *, epoch: int = 0, total_epochs: int = 1, cfg: SegConfig) -> Tensor:
     """Cross entropy plus (1 - soft Dice), with decaying auxiliary terms.
 
-    Auxiliary heads compare against nearest-subsampled targets and carry
-    weight 1.0 until ``ds_decay_epoch_fraction`` of training has elapsed,
-    then exactly ``ds_decay``.
+    Each head's term is one ``ce_dice_gap`` tape op: both parts read one
+    softmax, and its gradient is closed form. Auxiliary heads compare
+    against nearest-subsampled targets and carry weight 1.0 until
+    ``ds_decay_epoch_fraction`` of training has elapsed, then exactly
+    ``ds_decay``.
     """
     loss = _ce_plus_dice_gap(logits, target)
     if not aux_logits:

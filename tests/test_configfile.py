@@ -183,18 +183,33 @@ def test_seg_width_and_depth_keys_have_caps_that_name_them():
         _assert_capped("seg", key, top, str(int(top) + 1))
     _assert_capped("seg", "embed_dim", "1024", "1" + "0" * 400)  # compared exactly, not as a float
     _assert_capped("seg", "encoder_channels", "256", "8, 257")
-    _assert_capped("seg", "decoder_channels", "256, 8, 8", "16, 8, 257")
+    _assert_capped("seg", "decoder_channels", "256, 256, 256", "16, 8, 257")
     with pytest.raises(ConfigError, match="config key 'decoder_channels': '16, 0, 8' must be all within"):
         validate_config({"decoder_channels": "16, 0, 8"}, "seg")
 
 
 def test_cls_stage_channels_have_a_cap_that_names_the_key():
     # stage_channels = 16,32,64,1000000 went on to an uncaught numpy memory-error traceback
-    _assert_capped("cls", "stage_channels", "16, 32, 64, 512", "16,32,64,1000000")
+    _assert_capped("cls", "stage_channels", "512, 512, 512, 512", "16,32,64,1000000")
 
 
 def test_complexity_depth_has_a_cap_that_names_the_key():
     _assert_capped("complexity", "n_layers", "24", "25")
+
+
+@pytest.mark.parametrize("task, pairs, keys", [
+    # each passed the per-key caps and then ended in a numpy memory-error traceback
+    ("seg", {"extent": "128", "patch_size": "64", "decoder_channels": "8, 8, 8, 8, 8, 8, 8"},
+     "'encoder_channels', 'patch_size', 'embed_dim'"),  # a 67 M-weight tokenizer
+    ("seg", {"embed_dim": "1024", "n_layers": "24"}, "'embed_dim', 'ffn_hidden', 'n_layers'"),
+    ("seg", {"extent": "256"}, "'extent', 'decoder_channels'"),  # a 1 GB decoder activation
+    ("cls", {"batch": "1000000000"}, "'batch', 'extent', 'stage_channels'"),
+    ("cls", {"n_eval": "4096", "slices_per_volume": "32"},  # one 4 GB evaluation forward
+     "'n_eval', 'slices_per_volume', 'extent', 'stage_channels'"),
+])
+def test_model_byte_ceiling_names_the_keys_in_the_product(task, pairs, keys):
+    with pytest.raises(ConfigError, match=f"config keys {keys}: the {task} model needs about"):
+        validate_config({"n_train": "1", "n_eval": "1", **pairs}, task)
 
 
 def test_load_config_none_means_defaults():

@@ -22,13 +22,12 @@ from metacross.segmentation import (
     SegBatch,
     SegConfig,
     SegModel,
+    _ce_plus_dice_gap,
     combined_loss,
-    cross_entropy_mean,
     dice_score,
     load_checkpoint,
     predict_labels,
     save_checkpoint,
-    soft_dice_mean,
     train_step,
 )
 from metacross.tensor import Tape, Tensor
@@ -224,26 +223,40 @@ def test_dice_score_examples():
         dice_score([1, 0], [1, 0, 0], 1)
 
 
-def _log_probs(logits) -> Tensor:
-    """The class-axis log_softmax that the CE and Dice terms read."""
-    return T.log_softmax(logits if isinstance(logits, Tensor) else Tensor(logits), axis=0)
+def _ce_and_dice(logits: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """Mean cross entropy and mean soft Dice (smoothing 1e-7), in plain numpy."""
+    m = logits.max(axis=0, keepdims=True)
+    e = np.exp(logits - m)
+    logp = logits - m - np.log(e.sum(axis=0, keepdims=True))
+    ce = -np.take_along_axis(logp, target[None], axis=0).mean()
+    probs = e / e.sum(axis=0, keepdims=True)
+    onehot = np.moveaxis(np.eye(logits.shape[0])[target], -1, 0)
+    s = 1e-7
+    vals = []
+    for c in range(logits.shape[0]):
+        num = 2.0 * (probs[c] * onehot[c]).sum() + s
+        den = probs[c].sum() + onehot[c].sum() + s
+        vals.append(num / den)
+    return ce, np.mean(vals)
+
+
+def _gap(logits: np.ndarray, target: np.ndarray) -> float:
+    return _ce_plus_dice_gap(Tensor(logits), target).item()
 
 
 def test_cross_entropy_uniform_logits_is_log2():
-    logits = Tensor(np.zeros((2, 4, 4, 4)))
+    logits = np.zeros((2, 4, 4, 4))
     target = np.zeros((4, 4, 4), dtype=np.int64)
-    assert abs(cross_entropy_mean(_log_probs(logits), target).item() - math.log(2.0)) < 1e-15
+    _, dice = _ce_and_dice(logits, target)
+    assert abs(_gap(logits, target) - (math.log(2.0) + 1.0 - dice)) < 1e-15
 
 
 def test_cross_entropy_matches_numpy_oracle():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(3, 4, 4, 4))
     target = rng.integers(0, 3, size=(4, 4, 4))
-    got = cross_entropy_mean(_log_probs(logits), target).item()
-    m = logits.max(axis=0, keepdims=True)
-    logp = logits - m - np.log(np.exp(logits - m).sum(axis=0, keepdims=True))
-    want = -np.take_along_axis(logp, target[None], axis=0).mean()
-    assert abs(got - want) < 1e-12
+    ce, dice = _ce_and_dice(logits, target)
+    assert abs(_gap(logits, target) - (ce + 1.0 - dice)) < 1e-12
 
 
 def test_cross_entropy_saturates_near_zero():
@@ -251,25 +264,16 @@ def test_cross_entropy_saturates_near_zero():
     logits = np.zeros((2, 2, 2, 2))
     onehot = np.moveaxis(np.eye(2)[target], -1, 0)
     logits += 30.0 * onehot  # confident and correct
-    assert cross_entropy_mean(_log_probs(logits), target).item() < 1e-10
+    _, dice = _ce_and_dice(logits, target)
+    assert _gap(logits, target) - (1.0 - dice) < 1e-10
 
 
 def test_soft_dice_matches_numpy_oracle():
     rng = np.random.default_rng(7)
     logits = rng.normal(size=(2, 4, 4, 4))
     target = rng.integers(0, 2, size=(4, 4, 4))
-    got = soft_dice_mean(_log_probs(logits), target).item()
-
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    probs = e / e.sum(axis=0, keepdims=True)
-    onehot = np.moveaxis(np.eye(2)[target], -1, 0)
-    s = 1e-7
-    vals = []
-    for c in range(2):
-        num = 2.0 * (probs[c] * onehot[c]).sum() + s
-        den = probs[c].sum() + onehot[c].sum() + s
-        vals.append(num / den)
-    assert abs(got - np.mean(vals)) < 1e-12
+    ce, dice = _ce_and_dice(logits, target)
+    assert abs(_gap(logits, target) - (ce + 1.0 - dice)) < 1e-12
 
 
 def test_soft_dice_rewards_confident_overlap():
@@ -278,7 +282,8 @@ def test_soft_dice_rewards_confident_overlap():
     sharp = np.zeros((2, 4, 4, 4))
     sharp[1] = 40.0 * target - 20.0
     sharp[0] = -sharp[1]
-    assert soft_dice_mean(_log_probs(sharp), target).item() > 0.999999
+    ce, _ = _ce_and_dice(sharp, target)
+    assert 1.0 - (_gap(sharp, target) - ce) > 0.999999
 
 
 def test_combined_loss_aux_weight_schedule():
@@ -289,9 +294,8 @@ def test_combined_loss_aux_weight_schedule():
     aux = [Tensor(rng.normal(size=(2, 4, 4, 4)))]
 
     base = combined_loss(logits, target, [], cfg=cfg).item()
-    small = target[::2, ::2, ::2]
-    aux_term = (cross_entropy_mean(_log_probs(aux[0]), small).item()
-                + 1.0 - soft_dice_mean(_log_probs(aux[0]), small).item())
+    ce, dice = _ce_and_dice(aux[0].data, target[::2, ::2, ::2])
+    aux_term = ce + 1.0 - dice
 
     early = combined_loss(logits, target, aux, epoch=0, total_epochs=10, cfg=cfg).item()
     late = combined_loss(logits, target, aux, epoch=5, total_epochs=10, cfg=cfg).item()
@@ -299,7 +303,18 @@ def test_combined_loss_aux_weight_schedule():
     assert abs(late - (base + 0.4 * aux_term)) < 1e-12
 
 
-def test_combined_loss_takes_one_log_softmax_per_logits_tensor():
+def _composed_ce_dice_gap(x: Tensor, target: np.ndarray) -> Tensor:
+    """The same loss term from generic tape ops, CE and Dice each on its own log_softmax."""
+    onehot = np.moveaxis(np.eye(x.shape[0])[target], -1, 0)
+    spatial = tuple(range(1, x.ndim))
+    ce = T.scale(T.sum_(T.mul(Tensor(onehot), T.log_softmax(x, axis=0))), -1.0 / target.size)
+    probs = T.exp(T.log_softmax(x, axis=0))
+    num = T.add(T.scale(T.sum_(T.mul(probs, Tensor(onehot)), axis=spatial), 2.0), Tensor(1e-7))
+    den = T.add(T.add(T.sum_(probs, axis=spatial), Tensor(onehot.sum(axis=spatial))), Tensor(1e-7))
+    return T.add(ce, T.sub(Tensor(1.0), T.mean(T.div(num, den))))
+
+
+def test_combined_loss_records_one_ce_dice_gap_per_logits_tensor():
     cfg = _tiny_cfg()
     rng = np.random.default_rng(10)
     target = (rng.random((8, 8, 8)) < 0.4).astype(np.int64)
@@ -308,25 +323,44 @@ def test_combined_loss_takes_one_log_softmax_per_logits_tensor():
     with Tape() as tape:
         loss = combined_loss(logits, target, [aux], cfg=cfg)
         tape.backward(loss)
-    assert [name for name, _, _ in tape.nodes].count("log_softmax") == 2
-    # the same terms, each of CE and Dice with its own log_softmax (aux weight 1.0 at epoch 0)
+    names = [name for name, _, _ in tape.nodes]
+    assert names.count("ce_dice_gap") == 2 and "log_softmax" not in names
+    # the generic-op composition of each term (aux weight 1.0 at epoch 0)
     for t, tgt in ((logits, target), (aux, target[::2, ::2, ::2])):
         x = Tensor(t.data, requires_grad=True)
         with Tape() as tape:
-            tape.backward(T.add(cross_entropy_mean(_log_probs(x), tgt),
-                                T.sub(Tensor(1.0), soft_dice_mean(_log_probs(x), tgt))))
+            tape.backward(_composed_ce_dice_gap(x, tgt))
         assert np.allclose(t.grad, x.grad, rtol=0, atol=1e-15)
+
+
+def test_ce_dice_gap_keeps_the_gradient_of_strided_logits_without_a_copy(monkeypatch):
+    rng = np.random.default_rng(11)
+    target = (rng.random((8, 8, 8)) < 0.4).astype(np.int64)
+    # laid out [d, class, h, w] in memory, as the model's head logits are
+    logits = Tensor(rng.normal(size=(8, 2, 8, 8)).transpose(1, 0, 2, 3), requires_grad=True)
+    handed = []
+    accumulate = Tensor.accumulate
+
+    def recording(self, g):
+        if self is logits:
+            handed.append(g)
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate", recording)
+    with Tape() as tape:
+        tape.backward(_ce_plus_dice_gap(logits, target))
+    assert len(handed) == 1 and logits.grad is handed[0]
+    assert logits.grad.strides == logits.data.strides
 
 
 def test_combined_loss_without_aux_is_ce_plus_dice_gap():
     cfg = _tiny_cfg()
     rng = np.random.default_rng(9)
     target = (rng.random((8, 8, 8)) < 0.5).astype(np.int64)
-    logits = Tensor(rng.normal(size=(2, 8, 8, 8)))
-    got = combined_loss(logits, target, [], cfg=cfg).item()
-    want = (cross_entropy_mean(_log_probs(logits), target).item()
-            + 1.0 - soft_dice_mean(_log_probs(logits), target).item())
-    assert abs(got - want) < 1e-14
+    logits = rng.normal(size=(2, 8, 8, 8))
+    got = combined_loss(Tensor(logits), target, [], cfg=cfg).item()
+    ce, dice = _ce_and_dice(logits, target)
+    assert abs(got - (ce + 1.0 - dice)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
