@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionConfig
 from .complexity import (bottleneck_tokens, compare_bottlenecks,
                          render_comparison_csv, render_comparison_text)
 from .configfile import load_config
 from .errors import NumericError
-from .harness import (gradcheck_suite, render_loss_csv, render_probe_json,
-                      run_probe, run_sweep, train_classifier,
-                      train_segmentation, write_sweep_outputs)
+from .harness import (attention_config_from_values, gradcheck_suite,
+                      render_loss_csv, render_probe_json, run_probe, run_sweep,
+                      train_classifier, train_segmentation,
+                      write_sweep_outputs)
 from .metadata import MODALITY_NAMES
 from .segmentation import save_checkpoint
 
@@ -78,10 +78,8 @@ def _cmd_sweep(values: dict) -> int:
 
 
 def _cmd_complexity(values: dict) -> int:
-    att = AttentionConfig(embed_dim=values["embed_dim"], patch_size=values["patch_size"],
-                          ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"])
     n = bottleneck_tokens(values["input_extent"], values["encoder_downsamples"], values["patch_size"])
-    comparison = compare_bottlenecks(att, n, values["metadata_embed_dim"])
+    comparison = compare_bottlenecks(attention_config_from_values(values), n, values["metadata_embed_dim"])
     out = _outdir(values)
     path = out / "complexity_comparison.csv"
     path.write_text(render_comparison_csv(comparison))

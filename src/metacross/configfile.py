@@ -13,6 +13,7 @@ import operator
 from pathlib import Path
 
 from .errors import ConfigError
+from .phantoms import DEFAULT_CONTRASTS
 
 
 def _to_bool(raw: str) -> bool:
@@ -117,15 +118,10 @@ _SEG = {
     "availability_training": ("str", "shared", ("in", ("shared",))),
     "checkpoint": ("str", ""),
 }
-for _mod, (_bg, _fg, _sigma) in {
-    "flair": (0.20, 0.70, 0.20),
-    "t1c": (0.30, 0.80, 0.20),
-    "t1": (0.50, 0.05, 0.18),
-    "t2": (0.25, 0.75, 0.20),
-}.items():
-    _SEG[f"{_mod}_background"] = ("float", _bg, _LEVEL)
-    _SEG[f"{_mod}_lesion"] = ("float", _fg, _LEVEL)
-    _SEG[f"{_mod}_noise"] = ("float", _sigma, _NOISE)
+for _mod, _c in DEFAULT_CONTRASTS.items():
+    _SEG[f"{_mod.lower()}_background"] = ("float", _c.background, _LEVEL)
+    _SEG[f"{_mod.lower()}_lesion"] = ("float", _c.lesion, _LEVEL)
+    _SEG[f"{_mod.lower()}_noise"] = ("float", _c.noise, _NOISE)
 
 _CLS = {
     **_COMMON,

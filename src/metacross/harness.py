@@ -57,7 +57,8 @@ def _seeds(master: int, n: int) -> list[int]:
 
 def _phantom_spec(values: dict, n: int, seed: int) -> PhantomSpec:
     contrasts = {}
-    for key, name in zip(("flair", "t1c", "t1", "t2"), MODALITY_NAMES):
+    for name in MODALITY_NAMES:
+        key = name.lower()
         contrasts[name] = ModalityContrast(values[f"{key}_background"], values[f"{key}_lesion"],
                                            values[f"{key}_noise"])
     return PhantomSpec(extent=values["extent"], n_samples=n,
@@ -65,10 +66,14 @@ def _phantom_spec(values: dict, n: int, seed: int) -> PhantomSpec:
                        contrasts=contrasts, seed=seed)
 
 
+def attention_config_from_values(values: dict) -> AttentionConfig:
+    """The bottleneck of a seg or complexity config; ``ffn_hidden = 0`` means the 4x default."""
+    return AttentionConfig(embed_dim=values["embed_dim"], patch_size=values["patch_size"],
+                           ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"])
+
+
 def seg_config_from_values(values: dict) -> SegConfig:
-    att = AttentionConfig(embed_dim=values["embed_dim"], patch_size=values["patch_size"],
-                          ffn_hidden=values["ffn_hidden"] or None, n_layers=values["n_layers"])
-    return SegConfig(extent=values["extent"], attention=att,
+    return SegConfig(extent=values["extent"], attention=attention_config_from_values(values),
                      encoder_channels=values["encoder_channels"],
                      decoder_channels=values["decoder_channels"],
                      n_seg_classes=values["n_seg_classes"],
@@ -139,7 +144,7 @@ def run_sweep(values: dict) -> dict:
 
 
 def render_sweep_csv(results: list[ScenarioResult]) -> str:
-    lines = ["flair,t1c,t1,t2,dice,n"]
+    lines = [",".join(m.lower() for m in MODALITY_NAMES) + ",dice,n"]
     for r in results:
         flags = ",".join(str(int(a)) for a in r.available)
         lines.append(f"{flags},{r.dice:.6f},{r.n_samples}")

@@ -267,7 +267,7 @@ def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
         # d(1 - Dice)/dp, less its p-weighted sum over classes (the softmax Jacobian)
         d = ((num / (den * den)).reshape(per_class) - onehot * (2.0 / den).reshape(per_class)) * (1.0 / n_classes)
         d -= (p * d).sum(axis=0, keepdims=True)
-        gx = np.multiply(p, d, out=np.empty_like(x))  # the logits' layout, so accumulate keeps it
+        gx = p * d
         gx += (p - onehot) * (1.0 / n)
         gx *= g
         logits.accumulate(gx)

@@ -11,7 +11,7 @@ Gradient lifetime: a tape is replayed once, and each node is released as soon
 as its rule has run, so after backward only leaves (tensors no rule produced:
 parameters and inputs) hold ``.grad``. A rule hands each gradient array to one
 tensor and does not read it again; the tensor keeps the first one it gets, not
-a copy, when it is laid out like its data (see ``Tensor.accumulate``). ``add``
+a copy, in whatever layout the rule made it (see ``Tensor.accumulate``). ``add``
 hands its upstream gradient to the first operand, so the second gets a copy.
 
 Broadcasting follows the trailing-dimension rule: shapes are aligned from the
@@ -22,7 +22,8 @@ conv2d and conv3d share one kernel, ``_conv_nd``, over a plane-major padded
 input. At stride 1 it is kn2row: one batched GEMM per in-plane kernel offset on
 strided views of that input, with dX computed as the same routine on the output
 gradient with the kernel flipped. Any other stride copies its windows into one
-im2col column buffer for a single GEMM.
+im2col column buffer for a single GEMM. Either way the output is one C-order
+[batch, out, *spatial] array.
 
 ``conv3d(x, w, b, padding=1, upsample=2)`` is the 3x3x3 conv of the nearest x2
 upsample of ``x`` without building the upsample. Each output phase (even or odd
@@ -173,22 +174,19 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into ``.grad``, taking ownership of it.
 
-        The first gradient is kept as handed over when it is writeable and laid
-        out like ``data``; else it is copied once into ``data``'s layout, so the
-        reductions later rules run over it sum in the same order. Later
-        gradients add in place. The caller hands over an array it made or a
-        view of its own upstream gradient, gives it to no other tensor, and
-        does not read it afterwards.
+        The first gradient is kept as handed over, in whatever layout it has,
+        when it is writeable and has ``data``'s shape; a read-only or
+        mis-shaped one is copied once into ``data``'s layout. Later gradients
+        add in place. The caller hands over an array it made or a view of its
+        own upstream gradient, gives it to no other tensor, and does not read
+        it afterwards.
         """
         if self.grad is not None:
             self.grad += g
-        elif g.flags.writeable and g.shape == self.data.shape and g.strides == self.data.strides:
+        elif g.flags.writeable and g.shape == self.data.shape:
             self.grad = g
         else:
             self.grad = np.empty_like(self.data)
@@ -347,9 +345,7 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(a % x.ndim for a in axes):
                 gg = np.expand_dims(gg, ax)
-        gx = np.empty_like(x.data)  # x's layout, so accumulate keeps it without a second copy
-        gx[...] = gg
-        x.accumulate(gx)
+        x.accumulate(np.broadcast_to(gg, x.shape))
 
     return _record("sum", out, (x,), rule)
 
@@ -659,12 +655,14 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     out_spatial = tuple(conv_output_extent(upsample * e, k, stride, padding) for e, k in zip(spatial, kernel))
 
     # Every conv reads the padded input laid out flat as [batch, first axis, ch,
-    # *other axes] and weight rows [out', *kernel', in]. Stride 1 runs GEMMs
-    # on views of it over whole padded planes (see _runs) and keeps the windows
-    # of its output that ``phases`` name: (lead, channel block, extents, output
-    # index). Upsample 2 runs the 2x2x2 phase-stacked rows on x padded by 1,
-    # whose output phase a of each axis keeps [a, a + e) of the kn2row output.
-    # Any other stride copies its windows into one column buffer for one GEMM.
+    # *other axes] and weight rows [out', *kernel', in], and writes one C-order
+    # [batch, out, *spatial] output. Stride 1 runs GEMMs on views of the input
+    # over whole padded planes (see _runs) and writes the windows of their
+    # result that ``phases`` name: (lead, channel block, extents, output index).
+    # Plain stride 1 is the one phase at the origin. Upsample 2 runs the 2x2x2
+    # phase-stacked rows on x padded by 1, whose output phase a of each axis
+    # keeps [a, a + e) of the kn2row result. Any other stride copies its
+    # windows into one column buffer for one GEMM.
     origin = (0,) * nd
     if upsample == 2:
         rows, kernel, pads = _phase_rows(weight.data), (2,) * nd, (1,) * nd
@@ -682,17 +680,15 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *out_spatial]
         return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
 
-    if upsample == 2:
+    out_data = np.empty((batch, out_ch) + out_spatial)
+    if stride == 1:
         acc = _kn2row(xp, layout, rows)
-        out_data = np.empty((batch, out_ch) + out_spatial)
         for lead, ch, extents, at in phases:
             np.add(_interior(acc[:, :, ch], lead, extents), b, out=out_data[at])
         del acc
-    elif stride == 1:
-        out_data = np.add(_interior(_kn2row(xp, layout, rows), origin, out_spatial), b)
     else:
         res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
-        out_data = np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b)
+        np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b, out=out_data)
         del res
     buf_size = xp.size
     del xp

@@ -16,6 +16,8 @@ from metacross.harness import (
     LESION_CLASS,
     ScenarioResult,
     _cls_loss,
+    _phantom_spec,
+    classifier_config_from_values,
     enumerate_scenarios,
     gradcheck_suite,
     render_loss_csv,
@@ -28,8 +30,9 @@ from metacross.harness import (
     train_segmentation,
     write_sweep_outputs,
 )
-from metacross.phantoms import PhantomSpec, generate_cls_phantoms
+from metacross.phantoms import DEFAULT_CONTRASTS, PhantomSpec, generate_cls_phantoms
 from metacross.classifier import FilmClassifier, ClassifierConfig
+from metacross.segmentation import SegConfig
 from metacross.tensor import Tensor
 import metacross.tensor as T
 
@@ -81,6 +84,15 @@ def test_seg_config_from_values_roundtrip():
     assert cfg.attention.ffn_hidden == 32  # 0 in the file means 4x default
     assert cfg.encoder_channels == (4,)
     assert cfg.decoder_channels == (8, 4)
+
+
+def test_cli_defaults_build_the_api_defaults():
+    seg = validate_config({}, "seg")
+    assert seg_config_from_values(seg) == SegConfig()
+    assert classifier_config_from_values(validate_config({}, "cls")) == ClassifierConfig()
+    spec, default = _phantom_spec(seg, 8, 0), PhantomSpec()
+    assert (spec.extent, spec.radius_range) == (default.extent, default.radius_range)
+    assert spec.contrasts == DEFAULT_CONTRASTS
 
 
 def test_train_segmentation_returns_losses():

@@ -427,6 +427,27 @@ def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, w
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding, upsample", [
+    ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1, 1),
+    ((2, 3, 4, 5, 3), (2, 3, 1, 1, 1), 1, 0, 1),
+    ((2, 3, 13, 6, 5), (4, 3, 3, 3, 3), 2, 1, 1),
+    ((2, 3, 3, 5, 4), (2, 3, 3, 3, 3), 1, 1, 2),
+    ((2, 3, 7, 9), (4, 3, 3, 3), 1, 1, 1),
+    ((2, 3, 15, 8), (5, 3, 3, 2), 2, 0, 1),
+])
+def test_conv_writes_one_c_order_output(x_shape, w_shape, stride, padding, upsample):
+    # small integers: every sum is exact in float64, so any kernel must match bitwise
+    rng = np.random.default_rng(43)
+    x, w, b = (rng.integers(-3, 4, size=s).astype(np.float64) for s in (x_shape, w_shape, w_shape[:1]))
+    conv = T.conv3d if len(x_shape) == 5 else T.conv2d
+    kwargs = dict(upsample=2) if upsample == 2 else {}
+    got = conv(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, **kwargs).data
+    for axis in range(2, x.ndim):
+        x = np.repeat(x, upsample, axis=axis)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _conv_bruteforce(x, w, b, stride, padding))
+
+
 def test_conv_upsample_rejects_unsupported_geometry():
     x3, w3 = Tensor(np.zeros((1, 2, 4, 4, 4))), Tensor(np.zeros((3, 2, 3, 3, 3)))
     for kwargs in (dict(stride=2, padding=1, upsample=2), dict(padding=0, upsample=2), dict(padding=1, upsample=3)):
@@ -556,30 +577,36 @@ def test_accumulate_keeps_the_first_gradient_laid_out_like_data():
     t.accumulate(np.ones((2, 3)))  # later gradients add in place
     assert t.grad is g and np.array_equal(g, np.arange(1.0, 7.0).reshape(2, 3))
 
-    for other in (np.arange(6.0).reshape(3, 2).T, np.broadcast_to(2.0, (2, 3))):  # strided, read-only
-        u = Tensor(np.zeros((2, 3)))
-        u.accumulate(other)
-        assert not np.may_share_memory(u.grad, other)
-        assert u.grad.strides == u.data.strides and np.array_equal(u.grad, other)
+    strided = np.arange(6.0).reshape(3, 2).T  # kept in its own layout
+    u = Tensor(np.zeros((2, 3)))
+    u.accumulate(strided)
+    assert u.grad is strided
+
+    read_only = np.broadcast_to(2.0, (2, 3))  # copied once, into data's layout
+    u = Tensor(np.zeros((2, 3)))
+    u.accumulate(read_only)
+    assert not np.may_share_memory(u.grad, read_only)
+    assert u.grad.strides == u.data.strides and np.array_equal(u.grad, read_only)
 
 
 @pytest.mark.parametrize("axis, keepdims", [(None, False), (None, True), (0, False), (1, True),
                                             ((0, 2), False), (-1, False)])
 def test_sum_hands_its_gradient_over_in_the_data_layout(monkeypatch, axis, keepdims):
-    data = np.random.default_rng(2).normal(size=(4, 3, 2)).transpose(2, 0, 1)  # strided, like the head logits
+    data = np.random.default_rng(2).normal(size=(4, 3, 2)).transpose(2, 0, 1)  # strided
     x = Tensor(data, requires_grad=True)
-    kept = []
+    handed = []
     original = Tensor.accumulate
 
     def accumulate(self, g):
         original(self, g)
-        kept.append(self.grad is g)
+        handed.append(g)
 
     monkeypatch.setattr(Tensor, "accumulate", accumulate)
     with Tape() as tape:
         s = T.sum_(x, axis=axis, keepdims=keepdims)
         tape.backward(T.sum_(T.mul(s, Tensor(np.arange(1.0, s.size + 1).reshape(s.shape)))))
-    assert kept[-1]  # no second copy into x's layout
+    # a read-only broadcast that accumulate fills into x's layout once
+    assert not handed[-1].flags.writeable and not np.may_share_memory(x.grad, handed[-1])
     assert x.grad.strides == x.data.strides
     w = np.arange(1.0, s.size + 1).reshape(s.shape)
     if axis is not None and not keepdims:
