@@ -7,8 +7,7 @@ under an availability mask. An analytical complexity engine and a seeded
 experiment harness round out the package.
 """
 
-from .attention import (AttentionConfig, CrossAttentionBlock, PatchTokenizer,
-                        attention_flops)
+from .attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer
 from .classifier import (ClassifierConfig, ClsSample, FilmClassifier,
                          evaluate_accuracy, film_apply, gamma_statistics,
                          permutation_probe)
@@ -17,7 +16,7 @@ from .errors import (CheckpointError, ConfigError, DegenerateMaskError,
                      EmptyInputError, NoModalityError, NumericError,
                      ShapeError)
 from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
-                       MODALITY_NAMES, Modality, ModalityMask)
+                       MODALITY_NAMES, ModalityMask)
 from .phantoms import (DEFAULT_CONTRASTS, ModalityContrast, PhantomSpec,
                        apply_availability, generate_cls_phantoms,
                        generate_seg_phantoms)

@@ -122,19 +122,3 @@ class CrossAttentionBlock(Module):
         ffn = self.ffn_out(T.gelu(self.ffn_in(h)))
         return self.norm_ffn(T.add(h, ffn))
 
-
-def attention_flops(cfg: AttentionConfig, n_tokens: int, mode: str) -> int:
-    """Logit plus weighted-sum FLOPs, one multiply-accumulate = 2 FLOPs.
-
-    ``self_attention`` pairs every token with every token (2*N*N*D twice);
-    ``metadata_cross`` pairs tokens with the fixed dictionary entries
-    (2*N*M*D twice).
-    """
-    if n_tokens < 1:
-        raise ShapeError(f"n_tokens must be positive, got {n_tokens}")
-    n, d, m = int(n_tokens), cfg.embed_dim, N_MODALITIES
-    if mode == "self_attention":
-        return 2 * n * n * d + 2 * n * n * d
-    if mode == "metadata_cross":
-        return 2 * n * m * d + 2 * n * m * d
-    raise ConfigError(f"unknown attention mode {mode!r}; use 'self_attention' or 'metadata_cross'")

@@ -115,9 +115,6 @@ class FilmClassifier(Module):
         pooled = T.mean(x, axis=(2, 3))
         return self.head(pooled)
 
-    def __call__(self, image: Tensor, ctx: Tensor) -> Tensor:
-        return self.forward(image, ctx)
-
     def cost_rows(self, input_shape: tuple[int, ...], name: str = "classifier"):
         from .complexity import LayerCost, linear_flops
 

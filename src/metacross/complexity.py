@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import AttentionConfig, attention_flops
+from .attention import AttentionConfig
 from .errors import ConfigError, ShapeError
 from .metadata import N_MODALITIES
 
@@ -71,13 +71,13 @@ def metadata_encoder_row(name: str, embed_dim: int, width: int) -> LayerCost:
                      2 * linear_flops(N_MODALITIES, embed_dim, width, True))
 
 
-def attention_layer_rows(name: str, att: AttentionConfig, n: int, mode: str) -> list[LayerCost]:
-    """Attend (logits, softmax, weighted sum), both layer norms and the GELU FFN of one layer on n tokens."""
+def attention_layer_rows(name: str, att: AttentionConfig, n: int, columns: int) -> list[LayerCost]:
+    """Attend (logits, softmax, weighted sum over ``columns`` keys: N for self-attention,
+    M for the metadata dictionary), both layer norms and the GELU FFN of one layer on n tokens."""
     d, f = att.embed_dim, att.ffn_hidden
-    columns = n if mode == "self_attention" else N_MODALITIES
     return [
         LayerCost(f"{name}.attend", "attention", 0,
-                  attention_flops(att, n, mode) + SOFTMAX_FLOPS_PER_ELEMENT * n * columns),
+                  2 * MAC_FLOPS * n * columns * d + SOFTMAX_FLOPS_PER_ELEMENT * n * columns),
         LayerCost(f"{name}.norms", "norm", 4 * d, 2 * LN_FLOPS_PER_ELEMENT * n * d),
         LayerCost(f"{name}.ffn", "linear", d * f + f + f * d + d,
                   linear_flops(n, d, f, True) + GELU_FLOPS_PER_ELEMENT * n * f + linear_flops(n, f, d, True)),
@@ -88,7 +88,7 @@ def metadata_cross_rows(name: str, att: AttentionConfig, n: int, metadata_embed_
     """The dictionary once, then one cross-attention block per layer, as SegModel builds them."""
     rows = [metadata_encoder_row(f"{name}.metadata_encoder", metadata_embed_dim, att.embed_dim)]
     for i in range(att.n_layers):
-        rows.extend(attention_layer_rows(f"{name}.block{i}", att, n, "metadata_cross"))
+        rows.extend(attention_layer_rows(f"{name}.block{i}", att, n, N_MODALITIES))
     return rows
 
 
@@ -131,7 +131,7 @@ def compare_bottlenecks(att: AttentionConfig, n_tokens: int, metadata_embed_dim:
     for i in range(att.n_layers):
         baseline.append(LayerCost(f"baseline.layer{i}.qkvo_proj", "linear",
                                   4 * (d * d + d), 4 * linear_flops(n_tokens, d, d, True)))
-        baseline.extend(attention_layer_rows(f"baseline.layer{i}", att, n_tokens, "self_attention"))
+        baseline.extend(attention_layer_rows(f"baseline.layer{i}", att, n_tokens, n_tokens))
     return BottleneckComparison(
         ComplexityReport(baseline),
         ComplexityReport(metadata_cross_rows("ours", att, n_tokens, metadata_embed_dim)),

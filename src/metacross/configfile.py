@@ -282,7 +282,7 @@ def load_config(path: str | Path | None, task: str, overrides: dict | None = Non
         p = Path(path)
         try:
             text = p.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         pairs = parse_flat(text)
     return validate_config(pairs, task, overrides)

@@ -7,8 +7,6 @@ strings; every mask, attention column, and sweep artifact uses this order.
 
 from __future__ import annotations
 
-from enum import IntEnum
-
 import numpy as np
 
 from . import tensor as T
@@ -24,13 +22,6 @@ FILM_CONTEXT_DIM = 2 * CONTEXT_EMBED_DIM
 FILM_HIDDEN_DIM = 64
 
 N_PLANES = 3  # axial, sagittal, coronal
-
-
-class Modality(IntEnum):
-    FLAIR = 0
-    T1C = 1
-    T1 = 2
-    T2 = 3
 
 
 class ModalityMask:

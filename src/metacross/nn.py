@@ -185,10 +185,14 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
     from before the update.
 
     A non-finite loss raises ``NumericError`` naming the first op that went
-    non-finite, before any parameter or optimizer state moves.
+    non-finite, before any parameter or optimizer state moves. A parameter the
+    update leaves non-finite raises ``NumericError`` naming the first such
+    parameter; that check runs after the step, so by then the parameters and
+    the optimizer state have moved.
     """
     named = model.named_parameters()
-    model.zero_grad()
+    for _, p in named:
+        p.grad = None
     with Tape() as tape:
         loss = loss_of()
         value = loss.item()
@@ -198,4 +202,7 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
         tape.backward(loss)
     clip_grad_norm([p for _, p in named], clip)
     optimizer.step(named, lr, weight_decay)
+    for name, p in named:
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"parameter {name} is non-finite after the update")
     return value

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import ClsSample
 from .errors import ConfigError
-from .metadata import MODALITY_NAMES, Modality, ModalityMask
+from .metadata import MODALITY_NAMES, ModalityMask
 from .segmentation import SegBatch
 from .tensor import Tensor
 
@@ -119,7 +119,7 @@ def apply_availability(batch: SegBatch, available) -> SegBatch:
 # ---------------------------------------------------------------------------
 # 2D classification mode
 
-CLS_SEQUENCES = (int(Modality.T1), int(Modality.T2))
+CLS_SEQUENCES = (MODALITY_NAMES.index("T1"), MODALITY_NAMES.index("T2"))
 CLS_PLANE = 0  # slices are taken axially
 _CLS_BACKGROUND = 0.5
 _CLS_DELTA = 0.25
@@ -128,7 +128,7 @@ _CLS_NOISE = 0.05
 
 def _polarity(sequence: int, is_lesion: bool) -> float:
     """Lesions are bright on T1, dark on T2; distractors are the opposite."""
-    bright = (sequence == int(Modality.T1)) == is_lesion
+    bright = (sequence == MODALITY_NAMES.index("T1")) == is_lesion
     return _CLS_DELTA if bright else -_CLS_DELTA
 
 

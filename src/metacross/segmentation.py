@@ -363,6 +363,8 @@ def load_checkpoint(model: Module, path) -> None:
             name = bytes(take(name_len, index)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"checkpoint {path}: entry {index} has a name that is not UTF-8") from exc
+        if name in loaded:
+            raise CheckpointError(f"checkpoint {path}: entry {index} repeats the name {name}")
         rank = struct.unpack("<B", take(1, index))[0]
         if rank > _MAX_RANK:
             raise CheckpointError(f"checkpoint {path}: entry {index} has rank {rank} (at most {_MAX_RANK})")

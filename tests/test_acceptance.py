@@ -16,7 +16,7 @@ from scipy.special import erf
 
 import metacross.tensor as T
 from metacross import cli
-from metacross.attention import AttentionConfig, CrossAttentionBlock, attention_flops
+from metacross.attention import AttentionConfig, CrossAttentionBlock
 from metacross.classifier import ClassifierConfig, FilmClassifier, film_apply
 from metacross.complexity import bottleneck_tokens, compare_bottlenecks
 from metacross.configfile import validate_config
@@ -155,9 +155,9 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_complexity_ratios():
     start = time.perf_counter()
-    att = AttentionConfig(embed_dim=256)
-    dense = attention_flops(att, 4096, "self_attention")
-    cross = attention_flops(att, 4096, "metadata_cross")
+    reference = compare_bottlenecks(AttentionConfig(embed_dim=256), 4096, 16)
+    dense, cross = (next(r.flops for r in side.rows if r.kind == "attention")
+                    for side in (reference.baseline, reference.ours))
     assert dense % cross == 0
     ratio = dense // cross
     assert ratio == 4096 // N_MODALITIES == 1024

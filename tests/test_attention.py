@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
-from metacross.attention import (
-    AttentionConfig,
-    CrossAttentionBlock,
-    PatchTokenizer,
-    attention_flops,
-)
+from metacross.attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer
 from metacross.errors import ConfigError, ShapeError
 from metacross.metadata import MetadataEncoder, ModalityMask
 from metacross.tensor import Tensor
@@ -171,29 +166,3 @@ def test_call_preserves_grid_extent():
     assert tok.grid == (2, 3, 2)
     assert out.shape == tokens.shape == (12, 8)
 
-
-# ---------------------------------------------------------------------------
-# flop accounting
-
-
-def test_attention_flops_reference_points():
-    cfg = AttentionConfig(embed_dim=256, patch_size=4)
-    assert attention_flops(cfg, 4096, "self_attention") == 17_179_869_184
-    assert attention_flops(cfg, 4096, "metadata_cross") == 16_777_216
-    ratio = attention_flops(cfg, 4096, "self_attention") / attention_flops(cfg, 4096, "metadata_cross")
-    assert ratio == 4096 / 4  # N/M exactly
-
-
-def test_attention_flops_scaling_laws():
-    cfg = AttentionConfig(embed_dim=64, patch_size=4)
-    # cross mode is linear in token count, self mode quadratic
-    assert attention_flops(cfg, 200, "metadata_cross") == 2 * attention_flops(cfg, 100, "metadata_cross")
-    assert attention_flops(cfg, 200, "self_attention") == 4 * attention_flops(cfg, 100, "self_attention")
-
-
-def test_attention_flops_rejects_bad_inputs():
-    cfg = AttentionConfig(embed_dim=8)
-    with pytest.raises(ShapeError):
-        attention_flops(cfg, 0, "metadata_cross")
-    with pytest.raises(ConfigError, match="self_attention.*metadata_cross"):
-        attention_flops(cfg, 8, "typo_mode")

@@ -138,6 +138,24 @@ def test_non_finite_config_float_names_key(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, first", [
+    ("train-seg", "stems.0.0.weight"),
+    ("train-cls", "embeddings.sequence_table"),
+    ("probe-permutation", "embeddings.sequence_table"),
+])
+def test_an_update_that_leaves_a_parameter_non_finite_exits_two(tmp_path, capsys, command, first):
+    # lr * weight_decay overflows: the loss is finite, the updated parameters are not;
+    # these runs used to exit 0 and write a checkpoint that load_checkpoint refuses
+    micro = MICRO_SEG if command == "train-seg" else MICRO_CLS
+    lines = [line for line in micro.splitlines() if not line.startswith("steps")]
+    cfg = _write(tmp_path, "blowup.cfg", "\n".join(lines + ["steps = 1", "lr = 10", "weight_decay = 1e308"]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"numeric failure: parameter {first} is non-finite after the update" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seg_radius_errors_name_their_keys(tmp_path, capsys):
     for radii, keys in (("radius_min = 9\nradius_max = 4\n", ("radius_min 9.0", "radius_max 4.0")),
                         ("radius_min = 2\nradius_max = 5\n", ("radius_max 5.0", "extent"))):

@@ -1,5 +1,7 @@
 """Analytical cost engine: exact counts, frozen reference totals, rendering."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from metacross.complexity import (
     render_comparison_csv,
     render_comparison_text,
 )
+from metacross.configfile import validate_config
 from metacross.errors import ConfigError, ShapeError
+from metacross.harness import attention_config_from_values
 from metacross.nn import Conv, Linear
 from metacross.segmentation import SegConfig, SegModel
 
@@ -114,6 +118,30 @@ def test_reference_totals_match_component_sums():
     assert by_name["ours.block0.attend"].flops == 4 * n * m * d + 5 * n * m
 
 
+def _attend_flops(comparison):
+    """The one attend row of each side, baseline first, of a one-layer comparison."""
+    return tuple(next(r.flops for r in side.rows if r.kind == "attention")
+                 for side in (comparison.baseline, comparison.ours))
+
+
+def test_attend_rows_at_the_reference_points():
+    # N=4096 tokens, D=256: 4*N*N*D against 4*N*M*D, plus the softmax over the same columns
+    dense, cross = _attend_flops(compare_bottlenecks(AttentionConfig(embed_dim=256), 4096, 16))
+    assert dense == 17_179_869_184 + 5 * 4096 * 4096
+    assert cross == 16_777_216 + 5 * 4096 * 4
+    # both rows are n * columns * (4D + 5), so the ratio is N/M exactly
+    assert dense == 1024 * cross
+
+
+def test_attend_rows_scale_with_their_columns():
+    # cross-attention is linear in the token count, self-attention quadratic
+    att = AttentionConfig(embed_dim=64)
+    (dense_100, cross_100), (dense_200, cross_200) = (
+        _attend_flops(compare_bottlenecks(att, n, 16)) for n in (100, 200))
+    assert cross_200 == 2 * cross_100
+    assert dense_200 == 4 * dense_100
+
+
 @pytest.mark.parametrize("n_layers, deep_supervision", [(1, False), (2, False), (1, True)])
 def test_seg_model_rows_match_the_comparison(n_layers, deep_supervision):
     # the comparison costs the bottleneck the model builds, row for row
@@ -204,3 +232,13 @@ def test_rendering_is_deterministic():
     a = render_comparison_csv(_reference())
     b = render_comparison_csv(_reference())
     assert a == b
+
+
+def test_readme_default_report_is_the_rendered_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```\n" + REPORT_HEADER) + len("```\n")
+    documented = readme[start:readme.index("```", start)]
+    values = validate_config({}, "complexity")
+    n = bottleneck_tokens(values["input_extent"], values["encoder_downsamples"], values["patch_size"])
+    comparison = compare_bottlenecks(attention_config_from_values(values), n, values["metadata_embed_dim"])
+    assert documented == render_comparison_text(comparison)

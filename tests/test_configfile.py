@@ -222,6 +222,16 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.cfg", "seg")
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"steps = 10  # caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"cannot read config file .*latin1\.cfg: 'utf-8' codec"):
+        load_config(path, "seg")
+    assert main(["train-seg", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cls_rejects_checkpoint_key(tmp_path, capsys):
     # nothing in train-cls or probe-permutation reads a checkpoint, so the key is unknown
     assert "checkpoint" not in SCHEMAS["cls"]

@@ -15,7 +15,6 @@ from metacross.metadata import (
     FilmGenerator,
     MetadataEmbeddings,
     MetadataEncoder,
-    Modality,
     ModalityMask,
 )
 from metacross.tensor import Tape, Tensor
@@ -23,7 +22,6 @@ from metacross.tensor import Tape, Tensor
 
 def test_modality_order_is_canonical():
     assert MODALITY_NAMES == ("FLAIR", "T1c", "T1", "T2")
-    assert [m.value for m in Modality] == [0, 1, 2, 3]
 
 
 def test_context_dims():

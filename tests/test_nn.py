@@ -223,6 +223,16 @@ def test_optimize_on_a_poisoned_model_moves_nothing():
     assert {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m} == moments
 
 
+def test_optimize_names_the_first_parameter_the_update_leaves_non_finite():
+    model = Linear(3, 2, rng=np.random.default_rng(4))
+    x = Tensor(np.random.default_rng(5).normal(size=(4, 3)))
+    opt = Adam()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="parameter weight is non-finite"):
+        optimize(model, lambda: T.sum_(model(x)), opt, lr=10.0, weight_decay=1e308, clip=1.0)
+    # the check follows the update: the step was taken
+    assert opt.t == 1 and not np.isfinite(model.weight.data).any()
+
+
 def test_missing_gradient_is_treated_as_zero():
     p = Tensor(np.array([5.0]), requires_grad=True)
     p.grad = None

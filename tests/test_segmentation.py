@@ -501,6 +501,20 @@ def test_checkpoint_rejects_name_mismatch(tmp_path):
         load_checkpoint(_Pair(), path)
 
 
+def test_checkpoint_rejects_a_repeated_entry_name(tmp_path):
+    # weight, bias, then weight + 100 again: the third entry used to be loaded without a word
+    model = Linear(3, 2, rng=np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    again = struct.pack("<H", 6) + b"weight" + struct.pack("<B2I", 2, 3, 2) + (model.weight.data + 100.0).astype("<f8").tobytes()
+    path.write_bytes(raw[:5] + struct.pack("<I", 3) + raw[9:] + again)
+    before = model.weight.data.copy()
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: entry 2 repeats the name weight"):
+        load_checkpoint(model, path)
+    assert np.array_equal(model.weight.data, before)
+
+
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(_Pair(), path)
