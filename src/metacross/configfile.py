@@ -213,6 +213,10 @@ def validate_config(pairs: dict[str, str], task: str, overrides: dict | None = N
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = _checked(_spec(schema, key, task), key, value, value)
+    # decoupled decay scales every weight by 1 - lr * weight_decay, which shrinks none from a product of 2 on
+    if {"lr", "weight_decay"} <= schema.keys() and values["lr"] * values["weight_decay"] >= 2:
+        raise ConfigError(f"config keys 'lr', 'weight_decay': their product {values['lr'] * values['weight_decay']} "
+                          f"must be below 2, where weight decay alone can no longer shrink a weight")
     if task in _PHANTOM_VOXEL_BYTES:
         _check_phantom_bytes(values, _PHANTOM_VOXEL_BYTES[task])
         _check_model_bytes(values, task)

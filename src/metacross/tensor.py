@@ -19,9 +19,15 @@ right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
 
 conv2d and conv3d share one kernel, ``_conv_nd``, over a plane-major padded
-input. At stride 1 it is kn2row: one batched GEMM per in-plane kernel offset on
-strided views of that input, with dX computed as the same routine on the output
-gradient with the kernel flipped. Any other stride copies its windows into one
+input. At stride 1 it is kn2row on strided views of that input, with dX
+computed as the same routine on the output gradient with the kernel flipped.
+The shapes choose how kn2row sums the kernel offsets: when copying the shifted
+inputs into the GEMM depth writes fewer values than one product per offset, it
+stacks them and runs one GEMM per batch entry, otherwise it runs one GEMM per
+in-plane offset and adds the products (see ``_kn2row``). A 1x1 kernel at stride
+1 and padding 0 reads ``x`` as the one plane [batch, 1, in, voxels] it already
+is: forward is one ``W @ X`` per batch entry, dW is ``G X^T`` and dX is
+``W^T G``, with no padded copy. Any other stride copies its windows into one
 im2col column buffer for a single GEMM. Either way the output is one C-order
 [batch, out, *spatial] array.
 
@@ -30,10 +36,11 @@ upsample of ``x`` without building the upsample. Each output phase (even or odd
 on each axis) reads only 2x2x2 low-res voxels, so a constant 0/1 map pre-sums
 the 27 taps into eight phase-stacked 2x2x2 kernels, one stride-1 kn2row runs
 them on ``x`` padded by 1, and the phases are written interleaved into the
-output: 8/27 of the multiply-adds on an input 1/8 the size. Summing taps before
-the multiply moves results in the last ulps. The backward pass de-interleaves
-the output gradient into the phase layout, folds the phase kernels' gradient
-back through the map, and runs dX on that same buffer.
+output through one strided view of the kn2row result: 8/27 of the multiply-adds
+on an input 1/8 the size. Summing taps before the multiply, and summing the
+offsets in one GEMM, move results in the last ulps. The backward pass
+de-interleaves the output gradient through the same view, folds the phase
+kernels' gradient back through the map, and runs dX on that same buffer.
 
 Importing this module pins glibc's malloc mmap and trim thresholds, so the
 megabytes a forward frees stay mapped for the next one (see ``_pin_malloc_thresholds``).
@@ -598,18 +605,58 @@ def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
 def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of a plane-major buffer with weight rows [out, *kernel, in].
 
-    One batched GEMM per in-plane offset, summed through one reused product
-    buffer. Returns [batch, output plane, out, *padded extents of the other axes].
+    Returns [batch, output plane, out, *padded extents of the other axes]. The
+    shapes choose how its k0 * n kernel offsets (k0 along the first axis, n in
+    the plane) are summed, by the values each way writes per output grid
+    point. Accumulating runs one GEMM per in-plane offset, batched over the
+    output planes with the k0 offsets in its depth, and adds the products
+    through one reused buffer: n * out values, each re-read to be added.
+    K-stacking copies the k0 * n shifted in-row volumes into one
+    [batch, k0 * n * in, grid] buffer and runs one GEMM per batch entry:
+    k0 * n * in + out values, the result returned as a view of its
+    [batch, out, output plane, ...] layout. So the offsets are stacked when
+    k0 * n * in < (n - 1) * out, and a single offset (a 1x1 kernel) never is.
     """
+    out, k0, ch = rows.shape[0], rows.shape[1], layout[2]
+    n = math.prod(rows.shape[2:-1])
+    if k0 * n * ch < (n - 1) * out:
+        batch, planes, plane = layout[0], layout[1] - k0 + 1, math.prod(layout[3:])
+        stacked = np.empty((batch, k0, n, ch, planes, plane))
+        for i, (_, view) in enumerate(_runs(xp, layout, (1,) + rows.shape[2:-1])):
+            for d in range(k0):
+                stacked[:, d, i] = view[:, d:d + planes].swapaxes(1, 2)
+        acc = np.matmul(rows.reshape(out, -1), stacked.reshape(batch, -1, planes * plane))
+        return acc.reshape((batch, out, planes) + layout[3:]).swapaxes(1, 2)
     acc = part = None
     for off, view in _runs(xp, layout, rows.shape[1:-1]):
-        w = rows[(slice(None), slice(None)) + off].reshape(rows.shape[0], -1)
+        w = rows[(slice(None), slice(None)) + off].reshape(out, -1)
         if acc is None:
             acc = np.matmul(w, view)
         else:
             part = np.matmul(w, view, out=part)
             acc += part
     return acc.reshape(acc.shape[:3] + layout[3:])
+
+
+def _phase_view(acc: np.ndarray, up: int, out_ch: int, extents: Sequence[int]) -> np.ndarray:
+    """The [batch, *(up,) * nd, out, *extents] view of a kn2row result
+    [batch, planes, up**nd * out, *other axes] whose output phase a (row-major
+    over the axes) is channel block a and starts at index a of each axis."""
+    nd = len(extents)
+    sb, s0, sc, *rest = acc.strides
+    axes = (s0, *rest)
+    phase = tuple(s + sc * out_ch * up ** (nd - 1 - i) for i, s in enumerate(axes))
+    shape = (acc.shape[0],) + (up,) * nd + (out_ch,) + tuple(extents)
+    return np.lib.stride_tricks.as_strided(acc, shape, (sb,) + phase + (sc,) + axes)
+
+
+def _interleaved(a: np.ndarray, up: int) -> np.ndarray:
+    """[batch, ch, *spatial] viewed as [batch, *(up,) * nd, ch, *spatial / up]:
+    phase a of an axis is every up-th voxel from index a."""
+    batch, ch, *spatial = a.shape
+    nd = len(spatial)
+    split = a.reshape((batch, ch) + tuple(x for e in spatial for x in (e // up, up)))
+    return split.transpose((0,) + tuple(range(3, 2 * nd + 2, 2)) + (1,) + tuple(range(2, 2 * nd + 2, 2)))
 
 
 # Per axis, the 3-tap kernel taps that each (output phase, 2-tap offset) pair
@@ -657,22 +704,27 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     # Every conv reads the padded input laid out flat as [batch, first axis, ch,
     # *other axes] and weight rows [out', *kernel', in], and writes one C-order
     # [batch, out, *spatial] output. Stride 1 runs GEMMs on views of the input
-    # over whole padded planes (see _runs) and writes the windows of their
-    # result that ``phases`` name: (lead, channel block, extents, output index).
-    # Plain stride 1 is the one phase at the origin. Upsample 2 runs the 2x2x2
-    # phase-stacked rows on x padded by 1, whose output phase a of each axis
-    # keeps [a, a + e) of the kn2row result. Any other stride copies its
-    # windows into one column buffer for one GEMM.
+    # over whole padded planes (see _runs) and writes the output phases
+    # through one strided view of their result (see _phase_view): plain
+    # stride 1 is one phase at the origin; upsample 2 runs the 2x2x2
+    # phase-stacked rows on x padded by 1, and output phase a of each axis
+    # keeps [a, a + e) of the kn2row result. A 1x1 kernel at stride 1 and
+    # padding 0 reads x as the one plane [batch, 1, in, voxels] it already is,
+    # and its kn2row result is the output. Any other stride copies its windows
+    # into one column buffer for one GEMM.
     origin = (0,) * nd
+    pointwise = stride == 1 and padding == 0 and kernel == (1,) * nd
     if upsample == 2:
-        rows, kernel, pads = _phase_rows(weight.data), (2,) * nd, (1,) * nd
-        phases = [(a, slice(p * out_ch, (p + 1) * out_ch), spatial,
-                   (slice(None),) * 2 + tuple(slice(i, None, 2) for i in a))
-                  for p, a in enumerate(np.ndindex((2,) * nd))]
+        rows, kernel, pads, extents = _phase_rows(weight.data), (2,) * nd, (1,) * nd, spatial
     else:
-        rows, pads = np.moveaxis(weight.data, 1, -1), (padding,) * nd
-        phases = [(origin, slice(None), out_spatial, (slice(None),) * 2)]
-    xp, layout = _plane_major(x.data, pads, kernel)
+        rows, pads, extents = np.moveaxis(weight.data, 1, -1), (padding,) * nd, out_spatial
+
+    def padded(src: np.ndarray, ch: int, pads: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+        if pointwise:
+            return np.ascontiguousarray(src).reshape(-1), (batch, 1, ch, math.prod(spatial))
+        return _plane_major(src, pads, kernel)
+
+    xp, layout = padded(x.data, in_ch, pads)
     b = (np.zeros(out_ch) if bias is None else bias.data).reshape((out_ch,) + (1,) * nd)
     steps = (math.prod(layout[2:]),) + tuple(math.prod(layout[a + 3:]) for a in range(1, nd))
     strides = tuple(8 * s for s in steps + (math.prod(layout[3:]), math.prod(layout[1:])) + tuple(stride * s for s in steps))
@@ -680,13 +732,16 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *out_spatial]
         return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
 
-    out_data = np.empty((batch, out_ch) + out_spatial)
-    if stride == 1:
-        acc = _kn2row(xp, layout, rows)
-        for lead, ch, extents, at in phases:
-            np.add(_interior(acc[:, :, ch], lead, extents), b, out=out_data[at])
+    if pointwise:
+        out_data = _kn2row(xp, layout, rows).reshape((batch, out_ch) + out_spatial)
+        out_data += b
+    elif stride == 1:
+        out_data = np.empty((batch, out_ch) + out_spatial)
+        acc = _phase_view(_kn2row(xp, layout, rows), upsample, out_ch, extents)
+        np.add(acc, b, out=_interleaved(out_data, upsample))
         del acc
     else:
+        out_data = np.empty((batch, out_ch) + out_spatial)
         res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
         np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b, out=out_data)
         del res
@@ -697,16 +752,17 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     def rule(g: np.ndarray) -> None:  # rebuilds the padded input: the tape keeps no buffer
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
-        xp = _plane_major(x.data, pads, kernel)[0] if weight.needs_grad else None
+        xp = padded(x.data, in_ch, pads)[0] if weight.needs_grad else None
         if stride == 1:
-            if xp is not None or upsample == 2:  # g laid out as the kn2row output; junk points get zero gradient
-                glayout = (batch, layout[1] - kernel[0] + 1, rows.shape[0]) + layout[3:]
+            glayout = (batch, layout[1] - kernel[0] + 1, rows.shape[0]) + layout[3:]
+            if pointwise:  # g already is the kn2row output, with no junk points
+                gbuf = padded(g, out_ch, pads)[0]
+            elif xp is not None or upsample == 2:  # g laid out as the kn2row output; junk points get zero gradient
                 gbuf = _plane_zeros(glayout, kernel)
                 gl = gbuf[:math.prod(glayout)].reshape(glayout)
-                for lead, ch, extents, at in phases:
-                    _interior(gl[:, :, ch], lead, extents)[...] = g[at]
+                _phase_view(gl, upsample, out_ch, extents)[...] = _interleaved(g, upsample)
             if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T
-                gl = gl.reshape(gl.shape[:3] + (-1,))
+                gl = gbuf[:math.prod(glayout)].reshape(glayout[:3] + (-1,))
                 drows = np.empty_like(rows)
                 for off, view in _runs(xp, layout, kernel):
                     d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
@@ -715,11 +771,10 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
                 weight.accumulate(_fold_phase_rows(drows) if upsample == 2 else np.moveaxis(drows, -1, 1))
             if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
                 flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
-                if upsample == 2:  # the phases pad x by k - 1, so dX reads their gradient buffer unpadded
-                    gp = gbuf
-                else:
-                    gp, glayout = _plane_major(g, tuple(k - 1 - padding for k in kernel), kernel)
-                x.accumulate(_interior(_kn2row(gp, glayout, flipped), origin, spatial))
+                if upsample == 1:  # the phases pad x by k - 1, so upsample dX reads their gradient buffer unpadded
+                    gbuf, glayout = padded(g, out_ch, tuple(k - 1 - padding for k in kernel))
+                dx = _kn2row(gbuf, glayout, flipped)
+                x.accumulate(dx.reshape(x.shape) if pointwise else _interior(dx, origin, spatial))
             return
         gs = g.swapaxes(0, 1).reshape(out_ch, -1)
         if xp is not None:

@@ -118,7 +118,20 @@ def test_validate_rejects_non_finite_floats():
     # inf passes the lower bound of lr and is caught by the finiteness check
     with pytest.raises(ConfigError, match="'lr': 'inf' is not a finite number"):
         validate_config({"lr": "inf"}, "cls")
-    assert validate_config({"lr": "1e308"}, "seg")["lr"] == 1e308
+    assert validate_config({"lr": "1e308", "weight_decay": "0"}, "seg")["lr"] == 1e308
+
+
+def test_lr_times_weight_decay_below_two_names_both_keys():
+    # from a product of 2 on, decoupled decay multiplies each weight by |1 - lr * weight_decay| >= 1
+    for task in ("seg", "cls"):
+        for lr, wd in (("10", "1e308"), ("1", "2"), ("1e308", "1e-4")):
+            with pytest.raises(ConfigError, match="config keys 'lr', 'weight_decay'"):
+                validate_config({"lr": lr, "weight_decay": wd}, task)
+        assert validate_config({"lr": "1", "weight_decay": "1.99"}, task)["weight_decay"] == 1.99
+        with pytest.raises(ConfigError, match="config keys 'lr', 'weight_decay'"):
+            validate_config({}, task, {"lr": 4.0, "weight_decay": 0.5})
+    assert all({"lr", "weight_decay"} <= SCHEMAS[t].keys() for t in ("seg", "cls"))
+    assert not {"lr", "weight_decay"} & (SCHEMAS["complexity"].keys() | SCHEMAS["gradcheck"].keys())
 
 
 def test_availability_training_accepts_only_shared():

@@ -6,6 +6,7 @@ computed inline with plain numpy loops.
 
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,7 +355,11 @@ def test_conv3d_matches_bruteforce():
 
 # (x shape, weight shape, stride, padding): stride 1 and 2 in 3D and 2D, with
 # non-cubic kernels, and stride-1 paddings of at least the kernel size, whose
-# dX crops the output gradient instead of padding it
+# dX crops the output gradient instead of padding it. Then the 1x1 padding-0
+# convs, which read x as it is, with out > in and out < in, one of them on a
+# non-contiguous x given as (shape drawn, view taken); and two 3x3x3 whose
+# rows outnumber their channels enough that kn2row stacks the kernel offsets
+# (see _kn2row), in the forward (7 rows on 2 channels) and in dX (7 on 2)
 CONV_GEOMETRIES = [
     ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1),
     ((2, 3, 9, 4, 5), (4, 3, 3, 2, 3), 1, 0),
@@ -366,17 +371,26 @@ CONV_GEOMETRIES = [
     ((2, 3, 4, 5, 3), (2, 3, 2, 2, 2), 1, 2),
     ((2, 3, 5, 6), (3, 3, 1, 1), 1, 1),
     ((2, 3, 5, 6), (3, 3, 2, 2), 1, 2),
+    ((2, 3, 4, 5, 3), (5, 3, 1, 1, 1), 1, 0),
+    ((2, 5, 3, 4, 6), (2, 5, 1, 1, 1), 1, 0),
+    ((2, 3, 5, 6), (4, 3, 1, 1), 1, 0),
+    ((2, 4, 6, 5), (3, 4, 1, 1), 1, 0),
+    (((2, 6, 4, 5, 6), (slice(None), slice(None, None, 2), slice(None), slice(None), slice(1, None, 2))),
+     (4, 3, 1, 1, 1), 1, 0),
+    ((2, 2, 5, 6, 4), (7, 2, 3, 3, 3), 1, 1),
+    ((2, 7, 5, 4, 6), (2, 7, 3, 3, 3), 1, 1),
 ]
 
 
 @pytest.mark.parametrize("x_shape, w_shape, stride, padding", CONV_GEOMETRIES)
 def test_conv_multi_slab_matches_bruteforce(x_shape, w_shape, stride, padding):
     rng = np.random.default_rng(37)
-    x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
-    out_spatial = tuple(T.conv_output_extent(e, k, stride, padding) for e, k in zip(x_shape[2:], w_shape[2:]))
-    g = rng.normal(size=(x_shape[0], w_shape[0]) + out_spatial)
+    x_shape, view = x_shape if isinstance(x_shape[0], tuple) else (x_shape, ())
+    x, w, b = rng.normal(size=x_shape)[view], rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    out_spatial = tuple(T.conv_output_extent(e, k, stride, padding) for e, k in zip(x.shape[2:], w_shape[2:]))
+    g = rng.normal(size=(x.shape[0], w_shape[0]) + out_spatial)
     want, want_dx, want_dw, want_db = _conv_bruteforce(x, w, b, stride, padding, g)
-    conv = T.conv3d if len(x_shape) == 5 else T.conv2d
+    conv = T.conv3d if x.ndim == 5 else T.conv2d
     for need_x, need_w in ((True, True), (False, True), (True, False)):
         xt, wt, bt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w), Tensor(b, requires_grad=True)
         with Tape() as tape:
@@ -406,8 +420,10 @@ def _conv_grads(x, w, b, g, conv):
 
 
 # (batch, in, out, low-res extents): the segmentation decoder's stage-0 and
-# stage-2 geometries at the default config, and a small non-cubic one
-UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4))]
+# stage-2 geometries at the default config, whose forwards stack the phase
+# rows' offsets (see _kn2row), a small non-cubic one, and one with
+# 8 * out <= in, whose forward sums its phase rows' offsets one at a time
+UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4)), (2, 20, 2, (3, 4, 3))]
 
 
 @pytest.mark.parametrize("with_bias", [True, False])
@@ -487,6 +503,21 @@ def test_repeated_conv_forward_keeps_heap_pages():
         T.conv3d(x, w, padding=1)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 200, f"{faults / calls:.0f} minor faults per call"
+
+
+def test_pointwise_conv_forward_allocates_only_its_output():
+    # a 1x1 padding-0 conv reads x as it is: no padded copy of its 2 MB input
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 8, 32, 32, 32)))
+    w, b = Tensor(rng.standard_normal((2, 8, 1, 1, 1))), Tensor(rng.standard_normal(2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = T.conv3d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.data.nbytes + 64 * 1024, f"peak {peak} bytes for a {out.data.nbytes}-byte output"
 
 
 def test_upsample3d_nearest_values():
