@@ -38,11 +38,11 @@ class ClassifierConfig:
         n = len(self.stage_channels)
         bad = [s for s in self.film_stages if not 0 <= s < n]
         if bad:
-            raise ConfigError(f"film stages {bad} outside valid range [0, {n})")
+            raise ConfigError(f"film_stages {bad} outside valid range [0, {n})")
         deepest = tuple(range(n - len(self.film_stages), n))
         if self.film_stages and self.film_stages != deepest:
-            raise ConfigError(
-                f"modulation is injected progressively from the deepest stage; expected {deepest}, got {self.film_stages}")
+            raise ConfigError(f"film_stages: modulation is injected progressively from the deepest stage; "
+                              f"expected {deepest}, got {self.film_stages}")
 
     @property
     def min_extent(self) -> int:

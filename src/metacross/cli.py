@@ -17,7 +17,7 @@ import numpy as np
 from .complexity import (bottleneck_tokens, compare_bottlenecks,
                          render_comparison_csv, render_comparison_text)
 from .configfile import load_config
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .harness import (attention_config_from_values, gradcheck_suite,
                       render_loss_csv, render_probe_json, run_probe, run_sweep,
                       train_classifier, train_segmentation,
@@ -46,6 +46,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
     return parser
+
+
+def _check_outdir(values: dict) -> None:
+    """A ConfigError naming ``out`` if its path runs through an existing file, checked
+    before any work; the directory is made only when the results are written, so a
+    run that fails leaves none behind."""
+    out = Path(values["out"])
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"config key 'out': {path} exists and is not a directory")
+            return
 
 
 def _outdir(values: dict) -> Path:
@@ -112,13 +124,14 @@ def _cmd_probe(values: dict) -> int:
     return 0
 
 
+# command -> (config task, runner, whether it writes into ``out``)
 _COMMANDS = {
-    "train-seg": ("seg", partial(_cmd_train, train_segmentation)),
-    "train-cls": ("cls", partial(_cmd_train, train_classifier)),
-    "sweep": ("seg", _cmd_sweep),
-    "complexity": ("complexity", _cmd_complexity),
-    "gradcheck": ("gradcheck", _cmd_gradcheck),
-    "probe-permutation": ("cls", _cmd_probe),
+    "train-seg": ("seg", partial(_cmd_train, train_segmentation), True),
+    "train-cls": ("cls", partial(_cmd_train, train_classifier), True),
+    "sweep": ("seg", _cmd_sweep, True),
+    "complexity": ("complexity", _cmd_complexity, True),
+    "gradcheck": ("gradcheck", _cmd_gradcheck, False),
+    "probe-permutation": ("cls", _cmd_probe, True),
 }
 
 
@@ -130,9 +143,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        task, runner = _COMMANDS[args.command]
+        task, runner, writes = _COMMANDS[args.command]
         values = load_config(args.config, task,
                              overrides={"seed": args.seed, "out": args.out})
+        if writes:
+            _check_outdir(values)
         return runner(values)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -44,8 +44,9 @@ _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
 # phantom levels are normalized image intensities: a noise near 1e308 overflows the
 # phantoms and values past about 1e154 overflow a layer norm's squares, so both are capped far below
 _LEVEL, _NOISE = ("within", (-1e3, 1e3)), ("within", (0.0, 1e3))
-# cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must fit in half the extent
-_CLS_MIN_EXTENT = (">=", 18)
+# cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must be at most
+# (extent - 1) / 2 for a sphere's centre to exist
+_CLS_MIN_EXTENT = (">=", 19)
 # A run generates its phantom sets whole before it starts. Each sample costs this many
 # bytes per voxel of its extent^3 volume (seg: four float64 channels and an int64 target;
 # cls: the float64 volume its slices are cut from), and a set may hold at most

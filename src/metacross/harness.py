@@ -86,8 +86,9 @@ def seg_config_from_values(values: dict) -> SegConfig:
 def train_segmentation(values: dict) -> tuple[SegModel, list[float]]:
     """Train one shared model under random availability."""
     data_seed, model_seed, step_seed = _seeds(values["seed"], 3)
+    cfg = seg_config_from_values(values)  # a geometry error is raised before the phantoms are made
     phantoms = generate_seg_phantoms(_phantom_spec(values, values["n_train"], data_seed))
-    model = SegModel(seg_config_from_values(values), rng=np.random.default_rng(model_seed))
+    model = SegModel(cfg, rng=np.random.default_rng(model_seed))
     patterns = enumerate_scenarios()
     rng = np.random.default_rng(step_seed)
     optimizer = Adam()
@@ -214,12 +215,12 @@ def _cls_loss(model: FilmClassifier, batch: list[ClsSample]) -> T.Tensor:
 
 def train_classifier(values: dict) -> tuple[FilmClassifier, list[float], list[ClsSample], list[ClsSample]]:
     data_seed, eval_seed, model_seed, step_seed = _seeds(values["seed"], 4)
+    cfg = classifier_config_from_values(values)  # a geometry error is raised before the phantoms are made
     train_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_train"], data_seed),
                                           values["slices_per_volume"])
     eval_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_eval"], eval_seed),
                                          values["slices_per_volume"])
-    model = FilmClassifier(classifier_config_from_values(values),
-                           rng=np.random.default_rng(model_seed))
+    model = FilmClassifier(cfg, rng=np.random.default_rng(model_seed))
     rng = np.random.default_rng(step_seed)
     optimizer = Adam()
     losses = []

@@ -68,8 +68,10 @@ class PhantomSpec:
         lo, hi = self.radius_range
         if not 0 < lo <= hi:
             raise ConfigError(f"radius_min {lo} and radius_max {hi} must satisfy 0 < radius_min <= radius_max")
-        if hi > self.extent / 2:
-            raise ConfigError(f"radius_max {hi} exceeds half the extent {self.extent / 2}")
+        # a sphere's centre is drawn from [r, extent - 1 - r] on each axis, empty past this
+        if hi > (self.extent - 1) / 2:
+            raise ConfigError(f"radius_max {hi} exceeds (extent - 1) / 2 = {(self.extent - 1) / 2}: "
+                              f"no centre would keep the sphere inside extent {self.extent}")
         missing = [m for m in MODALITY_NAMES if m not in self.contrasts]
         if missing:
             raise ConfigError(f"contrast map missing modalities {missing}")

@@ -63,7 +63,8 @@ class SegConfig:
         needed = down.bit_length() - 1
         if len(self.decoder_channels) != needed:
             raise ConfigError(
-                f"decoder must undo a x{down} downsample: expected {needed} stages, got {len(self.decoder_channels)}")
+                f"decoder_channels must undo a x{down} downsample: expected {needed} stages, "
+                f"got {len(self.decoder_channels)}")
 
     @property
     def n_encoder_stages(self) -> int:
@@ -88,7 +89,8 @@ class SegConfig:
     @property
     def skip_stage(self) -> int | None:
         """Decoder stage whose post-upsample extent matches the fused stem
-        features, so they can be concatenated as a skip connection."""
+        features, which join it as a skip connection: its conv weight's
+        trailing input channels read them."""
         ext = self.grid_extent
         for i in range(len(self.decoder_channels)):
             ext *= 2
@@ -186,10 +188,12 @@ class SegModel(Module):
 
         aux: list[Tensor] = []
         last = len(self.decoder) - 1
-        skip = cfg.skip_stage
         for i, conv in enumerate(self.decoder):
-            if i == skip:  # not a pure upsample: the stem features join it before the conv
-                x = conv(T.concat([T.upsample3d_nearest(x, 2), T.reshape(fused, (1,) + fused.shape)], axis=1))
+            if i == cfg.skip_stage:  # conv(concat(up(x), f), W) = conv(up(x), W[:, :c]) + conv(f, W[:, c:])
+                c = x.shape[1]
+                x = T.add(T.conv3d(x, T.narrow(conv.weight, 1, 0, c), conv.bias, padding=1, upsample=2),
+                          T.conv3d(T.reshape(fused, (1,) + fused.shape), T.narrow(conv.weight, 1, c, conv.in_ch - c),
+                                   None, padding=1))
             else:
                 x = T.conv3d(x, conv.weight, conv.bias, padding=1, upsample=2)
             x = T.relu(x)

@@ -807,7 +807,12 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
 
 def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
-    """Repeat every voxel ``factor`` times along each spatial axis."""
+    """Repeat every voxel ``factor`` times along each spatial axis.
+
+    No model calls it: ``conv3d(..., upsample=2)`` convolves the upsample
+    without building it, and this op is the reference that path is tested
+    against.
+    """
     if x.ndim != 5:
         raise ShapeError(f"upsample3d expects rank-5 input, got {x.shape}")
     if factor < 1:

@@ -159,8 +159,10 @@ def test_an_update_that_leaves_a_parameter_non_finite_exits_two(tmp_path, capsys
 
 
 def test_seg_radius_errors_name_their_keys(tmp_path, capsys):
+    # radius_max 3.6 at extent 8 left no room for a sphere's centre: numpy's unnamed "high - low < 0"
     for radii, keys in (("radius_min = 9\nradius_max = 4\n", ("radius_min 9.0", "radius_max 4.0")),
-                        ("radius_min = 2\nradius_max = 5\n", ("radius_max 5.0", "extent"))):
+                        ("radius_min = 2\nradius_max = 5\n", ("radius_max 5.0", "extent")),
+                        ("radius_min = 3.5\nradius_max = 3.6\n", ("radius_max 3.6", "extent"))):
         cfg = _write(tmp_path, "seg.cfg", MICRO_SEG.replace("radius_min = 2.0\nradius_max = 3.5\n", radii))
         out = tmp_path / "out"
         assert main(["train-seg", "--config", cfg, "--out", str(out)]) == 1
@@ -170,12 +172,13 @@ def test_seg_radius_errors_name_their_keys(tmp_path, capsys):
 
 
 def test_cls_extent_too_small_names_key_and_minimum(tmp_path, capsys):
-    # the cls schema has no radius key: the phantoms' fixed radii set the smallest extent
-    cfg = _write(tmp_path, "cls.cfg", MICRO_CLS.replace("extent = 20", "extent = 16"))
+    # the cls schema has no radius key: the phantoms' fixed radii set the smallest extent;
+    # extent 18 used to pass and end in numpy's unnamed "high - low < 0" in the phantoms
+    cfg = _write(tmp_path, "cls.cfg", MICRO_CLS.replace("extent = 20", "extent = 18"))
     for command in ("train-cls", "probe-permutation"):
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert "config key 'extent': '16' must be >= 18" in capsys.readouterr().err
+        assert "config key 'extent': '18' must be >= 19" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -220,6 +223,47 @@ def test_oversized_width_or_depth_names_key_before_building(tmp_path, capsys, mo
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 1
     assert f"config key {key!r}: {value!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-seg", "train-cls", "sweep", "complexity", "probe-permutation"])
+def test_unusable_out_names_key_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # an existing file as --out used to fail with an unnamed "[Errno 17] File exists"
+    # once training had finished
+    def refuse(*args, **kwargs):
+        pytest.fail("the run went past config validation")
+
+    for name in ("generate_seg_phantoms", "generate_cls_phantoms", "SegModel", "FilmClassifier"):
+        monkeypatch.setattr(harness, name, refuse)
+    monkeypatch.setattr(cli, "compare_bottlenecks", refuse)
+    micro = {"train-seg": MICRO_SEG, "sweep": MICRO_SEG, "complexity": ""}.get(command, MICRO_CLS)
+    cfg = _write(tmp_path, "run.cfg", micro)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"config key 'out': {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("train-seg", "encoder_channels = 4, 4", "decoder_channels"),
+    ("train-cls", "film_stages = 0", "film_stages"),
+])
+def test_model_geometry_errors_name_their_key(tmp_path, capsys, monkeypatch, command, line, key):
+    # they ended "decoder must undo a x8 downsample: ..." and "modulation is injected
+    # progressively ...", naming no key, after the phantom sets were made
+    def refuse(*args, **kwargs):
+        pytest.fail("phantoms were generated")
+
+    monkeypatch.setattr(harness, "generate_seg_phantoms", refuse)
+    monkeypatch.setattr(harness, "generate_cls_phantoms", refuse)
+    micro = MICRO_SEG if command == "train-seg" else MICRO_CLS
+    name = line.split(" = ")[0]
+    text = "\n".join(raw for raw in micro.splitlines() if raw.split("=")[0].strip() != name) + f"\n{line}\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
+    assert f"error: {key}" in capsys.readouterr().err
     assert not out.exists()
 
 

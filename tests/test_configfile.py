@@ -1,5 +1,6 @@
 """Flat config parsing, schema validation, and file loading."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -165,10 +166,15 @@ def test_load_config_reads_and_overrides(tmp_path):
 
 
 def test_cls_extent_bound_fits_the_phantom_radius():
-    # cls phantoms use PhantomSpec's default radii, whose maximum must fit in half the extent
+    # cls phantoms use PhantomSpec's default radii; a sphere's centre is drawn from
+    # [r, extent - 1 - r], so the largest radius needs extent 2 * r + 1. At the old floor
+    # of 18, generation failed with numpy's "high - low < 0" whenever r > 8.5 was drawn.
     op, low = SCHEMAS["cls"]["extent"][2]
-    assert (op, low) == (">=", 2 * PhantomSpec().radius_range[1])
-    _cls_phantom_spec(validate_config({"extent": str(low)}, "cls"), 1, 0)
+    largest = PhantomSpec().radius_range[1]
+    assert (op, low) == (">=", 2 * largest + 1)
+    spec = _cls_phantom_spec(validate_config({"extent": str(low)}, "cls"), 4, 0)
+    assert len(generate_cls_phantoms(spec)) == 12
+    generate_cls_phantoms(replace(spec, radius_range=(largest, largest)))  # the largest radius at the floor
 
 
 def test_phantom_sets_past_the_byte_ceiling_name_their_key():

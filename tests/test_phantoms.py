@@ -47,8 +47,17 @@ def test_spec_rejects_bad_geometry():
         PhantomSpec(radius_range=(0.0, 4.0))
     with pytest.raises(ConfigError):
         PhantomSpec(radius_range=(5.0, 4.0))
-    with pytest.raises(ConfigError, match="half the extent"):
+    with pytest.raises(ConfigError, match=r"radius_max 12.0 exceeds \(extent - 1\) / 2 = 7.5"):
         PhantomSpec(extent=16, radius_range=(4.0, 12.0))
+
+
+def test_spec_radius_bound_leaves_room_for_a_centre():
+    # the centre is drawn from [r, extent - 1 - r] on each axis: r = (extent - 1) / 2 pins it
+    # to the middle voxel, and past that the range is empty
+    with pytest.raises(ConfigError, match="radius_max 8.0 exceeds"):
+        PhantomSpec(extent=16, radius_range=(8.0, 8.0))
+    (batch,) = generate_seg_phantoms(PhantomSpec(extent=16, n_samples=1, radius_range=(7.5, 7.5)))
+    assert batch.target[7, 7, 7] == 1 and batch.target.sum() > 1
 
 
 def test_spec_requires_complete_contrast_map():

@@ -177,20 +177,27 @@ def test_gated_stems_ignore_missing_channels_bitwise():
     assert np.array_equal(logits0.data, logits1.data)
 
 
-def test_forward_lays_tokens_out_on_the_grid():
-    # token row (i*g + j)*g + k becomes grid cell (i, j, k) of the decoder input
+def test_forward_lays_tokens_out_on_the_grid(monkeypatch):
+    # token row (i*g + j)*g + k becomes grid cell (i, j, k) of the first decoder conv's input
     cfg = _tiny_cfg()
     model = SegModel(cfg, rng=np.random.default_rng(6))
     g, d = cfg.grid_extent, cfg.attention.embed_dim
     tokens = np.random.default_rng(7).normal(size=(cfg.n_tokens, d))
     model.blocks = [lambda q, keys, values, mask: Tensor(tokens)]
     seen = []
-    first = model.decoder[0]
-    model.decoder[0] = lambda x: seen.append(x.data.copy()) or first(x)
+    conv3d = T.conv3d
+
+    def recording(x, weight, *args, **kwargs):
+        if kwargs.get("upsample") == 2:
+            seen.append(x.data.copy())
+        return conv3d(x, weight, *args, **kwargs)
+
+    monkeypatch.setattr(T, "conv3d", recording)
     model.forward(_batch(cfg))
-    grid = seen[0][0, :d, ::2, ::2, ::2]  # token channels come first; undo the x2 upsample
+    grid = seen[0]
+    assert grid.shape == (1, d, g, g, g)
     for i, j, k in np.ndindex(g, g, g):
-        assert np.array_equal(grid[:, i, j, k], tokens[(i * g + j) * g + k])
+        assert np.array_equal(grid[0, :, i, j, k], tokens[(i * g + j) * g + k])
 
 
 def test_skip_connection_widens_decoder_input():
@@ -199,6 +206,65 @@ def test_skip_connection_widens_decoder_input():
     model = SegModel(cfg, rng=np.random.default_rng(0))
     assert model.decoder[0].in_ch == cfg.attention.embed_dim + cfg.encoder_channels[-1]
     assert model.decoder[1].in_ch == cfg.decoder_channels[0]
+
+
+def _forward_through_concat(model, batch):
+    """SegModel.forward with the skip stage as upsample, concat and one conv over
+    all its input channels: the reference the split skip-stage convs must match."""
+    cfg = model.cfg
+    fused = model._encode(batch)
+    tokens = model.tokenizer(fused)
+    keys, values = model.meta_encoder.tokens()
+    for block in model.blocks:
+        tokens = block(tokens, keys, values, batch.mask)
+    g = cfg.grid_extent
+    x = T.reshape(T.transpose(tokens, (1, 0)), (1, cfg.attention.embed_dim, g, g, g))
+    aux = []
+    for i, conv in enumerate(model.decoder):
+        if i == cfg.skip_stage:
+            x = conv(T.concat([T.upsample3d_nearest(x, 2), T.reshape(fused, (1,) + fused.shape)], axis=1))
+        else:
+            x = T.conv3d(x, conv.weight, conv.bias, padding=1, upsample=2)
+        x = T.relu(x)
+        if i < len(model.decoder) - 1:
+            a = model.aux_heads[i](x)
+            aux.append(T.reshape(a, (cfg.n_seg_classes,) + a.shape[2:]))
+    logits = model.head(x)
+    return T.reshape(logits, (cfg.n_seg_classes,) + (cfg.extent,) * 3), aux
+
+
+def _logits_and_grads(model, batch, forward):
+    for _, p in model.named_parameters():
+        p.grad = None
+    with Tape() as tape:
+        logits, aux = forward(batch)
+        tape.backward(combined_loss(logits, batch.target, aux, cfg=model.cfg))
+    return logits.data, {name: p.grad for name, p in model.named_parameters()}
+
+
+@pytest.mark.parametrize("cfg", [_tiny_cfg(), SegConfig()], ids=["tiny", "default"])
+def test_skip_stage_split_convs_match_upsample_concat_conv(monkeypatch, cfg):
+    # conv(concat(up(x), f), W) = conv(up(x), W[:, :c]) + conv(f, W[:, c:]): the model runs
+    # the right side and never builds the upsample or the concat
+    model = SegModel(cfg, rng=np.random.default_rng(18))
+    batch = _batch(cfg, seed=19)
+    with monkeypatch.context() as m:
+        for name in ("upsample3d_nearest", "concat"):
+            m.setattr(T, name, lambda *args, name=name, **kwargs: pytest.fail(f"forward called {name}"))
+        logits, grads = _logits_and_grads(model, batch, model.forward)
+    want_logits, want_grads = _logits_and_grads(model, batch, lambda b: _forward_through_concat(model, b))
+
+    assert np.abs(logits - want_logits).max() <= 1e-13 * np.abs(want_logits).max()
+    assert grads.keys() == want_grads.keys()
+    top = max(np.abs(want).max() for want in want_grads.values())
+    for name, want in want_grads.items():
+        # the masked softmax cancels a key bias, so its exact gradient is zero and both
+        # paths hold rounding noise: that one is measured against the largest gradient
+        scale = top if name == "meta_encoder.k_proj.bias" else np.abs(want).max()
+        assert grads[name].shape == want.shape, name
+        assert np.abs(grads[name] - want).max() <= 1e-13 * scale, name
+    skip = model.decoder[cfg.skip_stage]
+    assert grads[f"decoder.{cfg.skip_stage}.weight"].shape == (skip.out_ch, skip.in_ch, 3, 3, 3)
 
 
 def test_predict_labels_values():
