@@ -51,8 +51,7 @@ class PatchTokenizer(Module):
     """
 
     def __init__(self, in_channels: int, extent: tuple[int, int, int], cfg: AttentionConfig,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         p = cfg.patch_size
         for e in extent:
             if e % p != 0:
@@ -98,8 +97,7 @@ class CrossAttentionBlock(Module):
     GELU feed-forward. Queries and output are both [N, D] token rows.
     """
 
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, cfg: AttentionConfig, *, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.embed_dim
         self.norm_attn = LayerNorm(d)

@@ -21,6 +21,8 @@ from .tensor import Tensor
 
 IN_CHANNELS = 1  # single-channel slices
 N_CLASSES = 2  # lesion present or absent
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_COVERAGE = 0.95
 
 
 @dataclass
@@ -32,7 +34,7 @@ class ClassifierConfig:
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
         self.film_stages = tuple(sorted(int(s) for s in self.film_stages))
         if not self.stage_channels:
-            raise ConfigError("classifier needs at least one stage")
+            raise ConfigError("stage_channels is empty: the classifier needs at least one stage")
         if any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"stage channels must be positive, got {self.stage_channels}")
         n = len(self.stage_channels)
@@ -172,18 +174,17 @@ def permutation_probe(model: FilmClassifier, samples: list[ClsSample], trials: i
     return {"true_accuracy": true_acc, "shuffled_accuracies": shuffled, "delta": delta}
 
 
-def bootstrap_delta_interval(true_acc: float, shuffled: list[float], resamples: int = 2000,
-                             seed: int = 0, coverage: float = 0.95) -> tuple[float, float]:
+def bootstrap_delta_interval(true_acc: float, shuffled: list[float], seed: int) -> tuple[float, float]:
     """Percentile bootstrap interval for delta over the shuffling trials."""
     if not shuffled:
         raise EmptyInputError("bootstrap needs at least one shuffled accuracy")
     rng = np.random.default_rng(seed)
     arr = np.asarray(shuffled)
-    deltas = np.empty(resamples)
-    for i in range(resamples):
+    deltas = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, arr.size, size=arr.size)
         deltas[i] = true_acc - arr[pick].mean()
-    lo = (1.0 - coverage) / 2.0
+    lo = (1.0 - BOOTSTRAP_COVERAGE) / 2.0
     return float(np.quantile(deltas, lo)), float(np.quantile(deltas, 1.0 - lo))
 
 

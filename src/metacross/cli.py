@@ -67,7 +67,7 @@ def _outdir(values: dict) -> Path:
 
 
 def _cmd_train(train, values: dict) -> int:
-    model, losses = train(values)[:2]
+    model, losses = train(values)
     out = _outdir(values)
     (out / "loss_curve.csv").write_text(render_loss_csv(losses))
     save_checkpoint(model, out / "checkpoint.ckpt")

@@ -18,7 +18,6 @@ MAC_FLOPS = 2  # one multiply-accumulate = 2 FLOPs
 SOFTMAX_FLOPS_PER_ELEMENT = 5   # max, subtract, exp, sum share, divide
 GELU_FLOPS_PER_ELEMENT = 8
 LN_FLOPS_PER_ELEMENT = 8        # two statistics passes plus normalize/affine
-RELU_FLOPS_PER_ELEMENT = 1
 
 REPORT_HEADER = "# counting convention: 1 multiply-accumulate = 2 FLOPs"
 

@@ -20,6 +20,7 @@ from .attention import AttentionConfig, CrossAttentionBlock
 from .classifier import (N_CLASSES, ClassifierConfig, ClsSample,
                          FilmClassifier, bootstrap_delta_interval, film_apply,
                          permutation_probe)
+from .errors import ConfigError
 from .metadata import (FilmGenerator, MetadataEmbeddings, MetadataEncoder,
                        MODALITY_NAMES, ModalityMask, N_MODALITIES)
 from .nn import Adam, optimize
@@ -196,12 +197,20 @@ def write_sweep_outputs(outdir: str | Path, sweep: dict) -> dict[str, Path]:
 
 
 def classifier_config_from_values(values: dict) -> ClassifierConfig:
-    return ClassifierConfig(stage_channels=values["stage_channels"],
-                            film_stages=values["film_stages"])
+    cfg = ClassifierConfig(stage_channels=values["stage_channels"], film_stages=values["film_stages"])
+    if values["extent"] < cfg.min_extent:
+        raise ConfigError(f"config keys 'extent', 'stage_channels': extent {values['extent']} is too small "
+                          f"for {len(cfg.stage_channels)} halving stages (needs >= {cfg.min_extent})")
+    return cfg
 
 
 def _cls_phantom_spec(values: dict, n: int, seed: int) -> PhantomSpec:
     return PhantomSpec(extent=values["extent"], n_samples=n, seed=seed)
+
+
+def _cls_seeds(values: dict) -> dict[str, int]:
+    """The four seeds a classifier run spawns from its master seed, named in spawn order."""
+    return dict(zip(("train_set", "eval_set", "model", "steps"), _seeds(values["seed"], 4)))
 
 
 def _cls_loss(model: FilmClassifier, batch: list[ClsSample]) -> T.Tensor:
@@ -213,15 +222,13 @@ def _cls_loss(model: FilmClassifier, batch: list[ClsSample]) -> T.Tensor:
     return T.scale(T.sum_(T.mul(Tensor(onehot), T.log_softmax(logits, axis=1))), -1.0 / len(batch))
 
 
-def train_classifier(values: dict) -> tuple[FilmClassifier, list[float], list[ClsSample], list[ClsSample]]:
-    data_seed, eval_seed, model_seed, step_seed = _seeds(values["seed"], 4)
+def train_classifier(values: dict) -> tuple[FilmClassifier, list[float]]:
+    seeds = _cls_seeds(values)
     cfg = classifier_config_from_values(values)  # a geometry error is raised before the phantoms are made
-    train_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_train"], data_seed),
+    train_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_train"], seeds["train_set"]),
                                           values["slices_per_volume"])
-    eval_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_eval"], eval_seed),
-                                         values["slices_per_volume"])
-    model = FilmClassifier(cfg, rng=np.random.default_rng(model_seed))
-    rng = np.random.default_rng(step_seed)
+    model = FilmClassifier(cfg, rng=np.random.default_rng(seeds["model"]))
+    rng = np.random.default_rng(seeds["steps"])
     optimizer = Adam()
     losses = []
     for _ in range(values["steps"]):
@@ -229,13 +236,15 @@ def train_classifier(values: dict) -> tuple[FilmClassifier, list[float], list[Cl
         batch = [train_samples[int(i)] for i in idx]
         losses.append(optimize(model, lambda: _cls_loss(model, batch), optimizer,
                                values["lr"], values["weight_decay"], values["clip"]))
-    return model, losses, train_samples, eval_samples
+    return model, losses
 
 
 def run_probe(values: dict) -> dict:
     """Train the classifier, then measure the metadata-shuffling accuracy drop."""
     probe_seed = _seeds(values["seed"] + 7, 1)[0]
-    model, losses, _, eval_samples = train_classifier(values)
+    model, losses = train_classifier(values)
+    eval_samples = generate_cls_phantoms(_cls_phantom_spec(values, values["n_eval"], _cls_seeds(values)["eval_set"]),
+                                         values["slices_per_volume"])
     probe = permutation_probe(model, eval_samples, values["trials"], probe_seed)
     lo, hi = bootstrap_delta_interval(probe["true_accuracy"], probe["shuffled_accuracies"],
                                       seed=probe_seed)

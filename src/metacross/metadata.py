@@ -49,8 +49,7 @@ class ModalityMask:
 class MetadataEmbeddings(Module):
     """Lookup tables for sequence and plane identifiers (16 dims each)."""
 
-    def __init__(self, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, *, rng: np.random.Generator):
         self.sequence_table = parameter(rng, (N_MODALITIES, CONTEXT_EMBED_DIM), 0.5)
         self.plane_table = parameter(rng, (N_PLANES, CONTEXT_EMBED_DIM), 0.5)
 
@@ -76,8 +75,7 @@ class FilmGenerator(Module):
     gamma first. For 128 channels the generator holds 18,752 parameters.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, channels: int, *, rng: np.random.Generator):
         if channels < 1:
             raise ConfigError(f"film generator needs at least one channel, got {channels}")
         self.channels = int(channels)
@@ -104,8 +102,7 @@ class MetadataEncoder(Module):
     content; row i corresponds to modality i in canonical order.
     """
 
-    def __init__(self, embed_dim: int, model_dim: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, embed_dim: int, model_dim: int, *, rng: np.random.Generator):
         if embed_dim < 1 or model_dim < 1:
             raise ConfigError(f"encoder dims must be positive, got E={embed_dim} D={model_dim}")
         self.embed_dim = int(embed_dim)

@@ -56,8 +56,7 @@ class Module:
 class Linear(Module):
     """Affine map ``x @ weight + bias`` on rank-2 inputs."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, in_features: int, out_features: int, bias: bool = True, *, rng: np.random.Generator):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         self.weight = parameter(rng, (self.in_features, self.out_features), 1.0 / np.sqrt(self.in_features))
@@ -83,8 +82,7 @@ class Conv(Module):
     """Convolution over ``rank`` (2 or 3) spatial axes with a cubic kernel."""
 
     def __init__(self, rank: int, in_ch: int, out_ch: int, kernel: int, stride: int = 1, padding: int = 0,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 *, rng: np.random.Generator):
         if rank not in (2, 3):
             raise ConfigError(f"convolutions have rank 2 or 3, got {rank}")
         self.rank = int(rank)
@@ -155,16 +153,17 @@ class Adam:
     step with all-zero gradients moves parameters by the decay term alone.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self) -> None:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, named_params: list[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in named_params:
             if weight_decay:
                 p.data -= lr * weight_decay * p.data
@@ -172,11 +171,11 @@ class Adam:
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,

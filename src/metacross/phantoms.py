@@ -76,7 +76,9 @@ class PhantomSpec:
         if missing:
             raise ConfigError(f"contrast map missing modalities {missing}")
         if all(c.lesion == c.background for c in self.contrasts.values()):
-            raise ConfigError("lesion level must differ from background in at least one modality")
+            keys = ", ".join(f"{m.lower()}_lesion" for m in MODALITY_NAMES)
+            raise ConfigError(f"{keys} each equal their _background level: "
+                              "lesion level must differ from background in at least one modality")
 
 
 def sphere_mask(extent: int, center: tuple[float, float, float], radius: float) -> np.ndarray:

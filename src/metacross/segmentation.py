@@ -42,9 +42,9 @@ class SegConfig:
         self.encoder_channels = tuple(int(c) for c in self.encoder_channels)
         self.decoder_channels = tuple(int(c) for c in self.decoder_channels)
         if not self.decoder_channels:
-            raise ConfigError("decoder needs at least one stage")
+            raise ConfigError("decoder_channels is empty: the decoder needs at least one stage")
         if not self.encoder_channels:
-            raise ConfigError("encoder channel list is empty")
+            raise ConfigError("encoder_channels is empty: the encoder needs at least one stage")
         if any(c < 1 for c in self.encoder_channels + self.decoder_channels):
             raise ConfigError("channel counts must be positive")
         if not 0.0 < self.ds_decay <= 1.0:
@@ -55,9 +55,10 @@ class SegConfig:
             raise ConfigError(f"need at least two segmentation classes, got {self.n_seg_classes}")
         if self.metadata_embed_dim < 1:
             raise ConfigError("metadata_embed_dim must be positive")
+        p = self.attention.patch_size
+        if p & (p - 1):  # the encoder's part of the downsample is a power of two, so only this can spoil it
+            raise ConfigError(f"patch_size {p} must be a power of two, as the total downsample factor must be")
         down = self.total_downsample
-        if down & (down - 1):
-            raise ConfigError(f"total downsample factor {down} must be a power of two")
         if self.extent % down:
             raise ConfigError(f"extent {self.extent} not divisible by total downsample {down}")
         needed = down.bit_length() - 1

@@ -5,7 +5,8 @@ Everything in this package flows through :class:`Tensor`. Arrays are kept in
 Operations executed inside a ``with Tape():`` block are recorded in execution
 order; ``Tape.backward`` replays the records in reverse and accumulates
 gradients into ``Tensor.grad``. Outside a tape the same functions run forward
-only, which is what inference paths use.
+only, which is what inference paths use. Tapes nest on one module-level stack
+and an op records onto the innermost, so one thread at a time may record.
 
 Gradient lifetime: a tape is replayed once, and each node is released as soon
 as its rule has run, so after backward only leaves (tensors no rule produced:
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,8 +61,6 @@ from .errors import DegenerateMaskError, NumericError, ShapeError
 _NEG_INF = float("-inf")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-_tls = threading.local()
 
 
 def _pin_malloc_thresholds() -> None:
@@ -92,17 +90,11 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tapes: list["Tape"] = []  # entered tapes, innermost last
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -115,14 +107,13 @@ class Tape:
         self.nodes: list[tuple[str, "Tensor | None", Callable[[np.ndarray], None] | None]] = []  # None once released
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _tapes or _tapes[-1] is not self:
             raise RuntimeError("tape stack corrupted: exiting a tape that is not on top")
-        stack.pop()
+        _tapes.pop()
 
     def record(self, name: str, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
         self.nodes.append((name, out, backward))

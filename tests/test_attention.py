@@ -38,7 +38,7 @@ def test_token_counts_for_standard_geometries():
 def test_tokenizer_rejects_indivisible_extent():
     cfg = AttentionConfig(embed_dim=16, patch_size=4)
     with pytest.raises(ShapeError, match="not divisible"):
-        PatchTokenizer(1, (10, 10, 10), cfg)
+        PatchTokenizer(1, (10, 10, 10), cfg, rng=np.random.default_rng(0))
 
 
 def test_tokenizer_rejects_wrong_input_shape():

@@ -230,7 +230,7 @@ def test_bootstrap_interval_basics():
     lo_c, hi_c = bootstrap_delta_interval(0.8, [0.5, 0.5, 0.5], seed=1)
     assert lo_c == hi_c == pytest.approx(0.3)
     with pytest.raises(EmptyInputError):
-        bootstrap_delta_interval(0.9, [])
+        bootstrap_delta_interval(0.9, [], seed=0)
 
 
 def test_gamma_statistics_contract():

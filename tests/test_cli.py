@@ -249,18 +249,29 @@ def test_unusable_out_names_key_before_any_work(tmp_path, capsys, monkeypatch, c
 @pytest.mark.parametrize("command, line, key", [
     ("train-seg", "encoder_channels = 4, 4", "decoder_channels"),
     ("train-cls", "film_stages = 0", "film_stages"),
+    ("train-seg", "encoder_channels = ", "encoder_channels"),
+    ("train-seg", "decoder_channels = ", "decoder_channels"),
+    ("sweep", "patch_size = 3", "patch_size"),
+    ("train-cls", "stage_channels = ", "stage_channels"),
+    ("train-seg", "flair_lesion = 0.2\nt1c_lesion = 0.3\nt1_lesion = 0.5\nt2_lesion = 0.25", "flair_lesion"),
+    ("train-cls", "extent = 19\nstage_channels = 4, 4, 4, 4, 4\nfilm_stages = 3, 4",
+     "config keys 'extent', 'stage_channels': extent 19 is too small for 5 halving stages (needs >= 32)"),
 ])
 def test_model_geometry_errors_name_their_key(tmp_path, capsys, monkeypatch, command, line, key):
-    # they ended "decoder must undo a x8 downsample: ..." and "modulation is injected
-    # progressively ...", naming no key, after the phantom sets were made
+    # they ended "decoder must undo a x8 downsample: ...", "modulation is injected
+    # progressively ...", "encoder channel list is empty", "decoder needs at least one
+    # stage", "total downsample factor 6 must be a power of two", "classifier needs at
+    # least one stage", "lesion level must differ from background ..." and, in the first
+    # forward, "input 19x19 too small for 5 halving stages (min 32)", naming no key; the
+    # first two and the last after the phantom sets were made
     def refuse(*args, **kwargs):
         pytest.fail("phantoms were generated")
 
     monkeypatch.setattr(harness, "generate_seg_phantoms", refuse)
     monkeypatch.setattr(harness, "generate_cls_phantoms", refuse)
-    micro = MICRO_SEG if command == "train-seg" else MICRO_CLS
-    name = line.split(" = ")[0]
-    text = "\n".join(raw for raw in micro.splitlines() if raw.split("=")[0].strip() != name) + f"\n{line}\n"
+    micro = MICRO_SEG if command in ("train-seg", "sweep") else MICRO_CLS
+    names = {raw.split(" = ")[0] for raw in line.splitlines()}
+    text = "\n".join(raw for raw in micro.splitlines() if raw.split("=")[0].strip() not in names) + f"\n{line}\n"
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
     assert f"error: {key}" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from metacross.complexity import (
     GELU_FLOPS_PER_ELEMENT,
     LN_FLOPS_PER_ELEMENT,
     MAC_FLOPS,
-    RELU_FLOPS_PER_ELEMENT,
     REPORT_HEADER,
     SOFTMAX_FLOPS_PER_ELEMENT,
     LayerCost,
@@ -34,7 +33,6 @@ def test_counting_constants():
     assert SOFTMAX_FLOPS_PER_ELEMENT == 5
     assert GELU_FLOPS_PER_ELEMENT == 8
     assert LN_FLOPS_PER_ELEMENT == 8
-    assert RELU_FLOPS_PER_ELEMENT == 1
     assert "multiply-accumulate = 2 FLOPs" in REPORT_HEADER
 
 

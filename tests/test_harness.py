@@ -16,7 +16,9 @@ from metacross.harness import (
     LESION_CLASS,
     ScenarioResult,
     _cls_loss,
+    _cls_phantom_spec,
     _phantom_spec,
+    _seeds,
     classifier_config_from_values,
     enumerate_scenarios,
     gradcheck_suite,
@@ -24,6 +26,7 @@ from metacross.harness import (
     render_probe_json,
     render_sweep_csv,
     render_sweep_json,
+    run_probe,
     run_sweep,
     seg_config_from_values,
     train_classifier,
@@ -34,6 +37,7 @@ from metacross.phantoms import DEFAULT_CONTRASTS, PhantomSpec, generate_cls_phan
 from metacross.classifier import FilmClassifier, ClassifierConfig
 from metacross.segmentation import SegConfig
 from metacross.tensor import Tensor
+import metacross.harness as harness
 import metacross.tensor as T
 
 
@@ -215,14 +219,27 @@ MICRO_CLS = {
 }
 
 
-def test_train_classifier_micro_run():
+def test_train_classifier_micro_run(monkeypatch):
+    made = []
+
+    def spy(spec, slices_per_volume):
+        made.append(generate_cls_phantoms(spec, slices_per_volume))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "generate_cls_phantoms", spy)
     values = validate_config(MICRO_CLS, "cls")
-    model, losses, train_samples, eval_samples = train_classifier(values)
+    model, losses = train_classifier(values)
     assert len(losses) == 3
     assert all(np.isfinite(v) for v in losses)
-    assert len(train_samples) == 8   # 4 volumes x 2 slices
-    assert len(eval_samples) == 4
     assert isinstance(model, FilmClassifier)
+    assert [len(s) for s in made] == [8]   # the training set alone: 4 volumes x 2 slices
+    # run_probe builds the evaluation set (2 volumes x 2 slices) from the second of the four seeds
+    monkeypatch.setattr(harness, "train_classifier", lambda v: (model, losses))
+    probe = run_probe(dict(values, trials=2))
+    assert [len(s) for s in made] == [8, 4]
+    assert probe["n_eval_samples"] == 4
+    want = generate_cls_phantoms(_cls_phantom_spec(values, 2, _seeds(values["seed"], 4)[1]), 2)
+    assert all(np.array_equal(a.image, b.image) for a, b in zip(made[1], want))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -226,4 +226,4 @@ def test_encoder_matches_linear_oracle():
 
 def test_encoder_rejects_bad_dims():
     with pytest.raises(ConfigError):
-        MetadataEncoder(embed_dim=0, model_dim=4)
+        MetadataEncoder(embed_dim=0, model_dim=4, rng=np.random.default_rng(0))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import metacross.tensor as T
+from metacross.attention import AttentionConfig, CrossAttentionBlock, PatchTokenizer
 from metacross.classifier import ClassifierConfig, FilmClassifier
 from metacross.configfile import validate_config
 from metacross.errors import ConfigError, NumericError, ShapeError
 from metacross.harness import _cls_loss, seg_config_from_values
-from metacross.metadata import ModalityMask
+from metacross.metadata import FilmGenerator, MetadataEmbeddings, MetadataEncoder, ModalityMask
 from metacross.nn import (
     Adam,
     Conv,
@@ -21,7 +22,7 @@ from metacross.nn import (
     parameter,
 )
 from metacross.phantoms import PhantomSpec, generate_cls_phantoms
-from metacross.segmentation import SegBatch, SegModel, train_step
+from metacross.segmentation import SegBatch, SegConfig, SegModel, train_step
 from metacross.tensor import Tape, Tensor
 
 
@@ -99,9 +100,9 @@ def test_conv_looks_up_its_op_per_call(monkeypatch):
 
 def test_conv_rejects_bad_rank_and_cost_shape():
     with pytest.raises(ConfigError, match="rank 2 or 3"):
-        Conv(1, 1, 1, kernel=1)
+        Conv(1, 1, 1, kernel=1, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        Conv(2, 1, 1, kernel=1).cost_rows((1, 1, 4, 4, 4))
+        Conv(2, 1, 1, kernel=1, rng=np.random.default_rng(0)).cost_rows((1, 1, 4, 4, 4))
 
 
 def test_layer_norm_module_defaults():
@@ -111,6 +112,34 @@ def test_layer_norm_module_defaults():
     rng = np.random.default_rng(10)
     x = Tensor(rng.normal(size=(3, 6)))
     assert np.array_equal(ln(x).data, T.layer_norm(x, ln.gain, ln.bias).data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Linear(2, 3),
+    lambda: Conv(2, 1, 1, kernel=3),
+    lambda: PatchTokenizer(1, (4, 4, 4), AttentionConfig(embed_dim=4, patch_size=2)),
+    lambda: CrossAttentionBlock(AttentionConfig(embed_dim=4)),
+    lambda: MetadataEmbeddings(),
+    lambda: FilmGenerator(3),
+    lambda: MetadataEncoder(4, 4),
+], ids=["Linear", "Conv", "PatchTokenizer", "CrossAttentionBlock", "MetadataEmbeddings", "FilmGenerator",
+        "MetadataEncoder"])
+def test_layers_need_their_models_generator(build):
+    # a layer built without one used to draw from seed 0, equal to every other such layer
+    with pytest.raises(TypeError, match="rng"):
+        build()
+
+
+@pytest.mark.parametrize("model", [lambda: SegModel(SegConfig()), lambda: FilmClassifier(ClassifierConfig())],
+                         ids=["SegModel", "FilmClassifier"])
+def test_default_models_draw_no_two_parameters_alike(model):
+    # every layer draws from the model's one generator, so no two random initialisations repeat
+    # (the four stems, meta_encoder.k_proj.weight and v_proj.weight, ...); constant ones are skipped
+    drawn = [(name, p.data) for name, p in model().named_parameters() if np.ptp(p.data) > 0]
+    assert len(drawn) > 1
+    for i, (a, da) in enumerate(drawn):
+        for b, db in drawn[i + 1:]:
+            assert da.shape != db.shape or da.tobytes() != db.tobytes(), f"{a} and {b} start equal"
 
 
 # ---------------------------------------------------------------------------
