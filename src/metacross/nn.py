@@ -114,14 +114,15 @@ class Conv(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, width: int, eps: float = 1e-5):
+    EPS = 1e-5  # added to each row's variance
+
+    def __init__(self, width: int):
         self.width = int(width)
-        self.eps = float(eps)
         self.gain = Tensor(np.ones(self.width), requires_grad=True)
         self.bias = Tensor(np.zeros(self.width), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.bias, eps=self.EPS)
 
 
 def global_grad_norm(params: list[Tensor]) -> float:

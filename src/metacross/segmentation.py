@@ -187,22 +187,30 @@ class SegModel(Module):
         g = cfg.grid_extent
         x = T.reshape(T.transpose(tokens, (1, 0)), (1, cfg.attention.embed_dim, g, g, g))
 
+        # Each stage convolves the nearest x2 upsample of x as its eight output
+        # phases and interleaves them into voxel order. The last stage's bias,
+        # ReLU and 1x1 head are pointwise, so they run on the phases, and only
+        # the logit channels are interleaved; the ReLU overwrites the phases,
+        # which nothing else reads.
         aux: list[Tensor] = []
-        last = len(self.decoder) - 1
-        for i, conv in enumerate(self.decoder):
+        for i, conv in enumerate(self.decoder[:-1]):
             if i == cfg.skip_stage:  # conv(concat(up(x), f), W) = conv(up(x), W[:, :c]) + conv(f, W[:, c:])
                 c = x.shape[1]
-                x = T.add(T.conv3d(x, T.narrow(conv.weight, 1, 0, c), conv.bias, padding=1, upsample=2),
+                x = T.add(T.interleave_phases(T.conv3d(x, T.narrow(conv.weight, 1, 0, c), conv.bias, padding=1,
+                                                       upsample_phases=True)),
                           T.conv3d(T.reshape(fused, (1,) + fused.shape), T.narrow(conv.weight, 1, c, conv.in_ch - c),
                                    None, padding=1))
             else:
-                x = T.conv3d(x, conv.weight, conv.bias, padding=1, upsample=2)
+                x = T.interleave_phases(T.conv3d(x, conv.weight, conv.bias, padding=1, upsample_phases=True))
             x = T.relu(x)
-            if cfg.deep_supervision and i < last:
+            if cfg.deep_supervision:
                 a = self.aux_heads[i](x)
                 ext = a.shape[2]
                 aux.append(T.reshape(a, (cfg.n_seg_classes, ext, ext, ext)))
-        logits = self.head(x)
+        # the skip stage is never the last: the stem features are at most half the extent
+        conv = self.decoder[-1]
+        phases = T.relu(T.conv3d(x, conv.weight, conv.bias, padding=1, upsample_phases=True), inplace=True)
+        logits = T.interleave_phases(self.head(phases))
         return T.reshape(logits, (cfg.n_seg_classes,) + (cfg.extent,) * 3), aux
 
     def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "seg"):
@@ -314,9 +322,21 @@ def train_step(model: SegModel, batch: SegBatch, optimizer: Adam,
 
 
 def predict_labels(model: SegModel, batch: SegBatch) -> np.ndarray:
-    """Arg-max segmentation labels, computed without recording a tape."""
+    """Arg-max segmentation labels, computed without recording a tape.
+
+    A strict compare over the classes, one class at a time, keeps the first
+    maximum as ``np.argmax`` does, without its per-voxel loop over the class
+    axis. A non-finite logit raises NumericError.
+    """
     logits, _ = model.forward(batch)
-    return np.argmax(logits.data, axis=0)
+    x = logits.data
+    if not np.isfinite(x).all():
+        raise NumericError("predict_labels: the logits are not finite")
+    best, labels = x[0], (x[1] > x[0]).astype(np.intp)
+    for c in range(2, x.shape[0]):
+        best = np.maximum(best, x[c - 1])
+        np.putmask(labels, x[c] > best, c)
+    return labels
 
 
 # ---------------------------------------------------------------------------

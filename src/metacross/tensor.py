@@ -30,17 +30,23 @@ in-plane offset and adds the products (see ``_kn2row``). A 1x1 kernel at stride
 is: forward is one ``W @ X`` per batch entry, dW is ``G X^T`` and dX is
 ``W^T G``, with no padded copy. Any other stride copies its windows into one
 im2col column buffer for a single GEMM. Either way the output is one C-order
-[batch, out, *spatial] array.
+array, [batch, out, *spatial] but for the upsample phases below.
 
-``conv3d(x, w, b, padding=1, upsample=2)`` is the 3x3x3 conv of the nearest x2
-upsample of ``x`` without building the upsample. Each output phase (even or odd
-on each axis) reads only 2x2x2 low-res voxels, so a constant 0/1 map pre-sums
-the 27 taps into eight phase-stacked 2x2x2 kernels, one stride-1 kn2row runs
-them on ``x`` padded by 1, and the phases are written interleaved into the
-output through one strided view of the kn2row result: 8/27 of the multiply-adds
-on an input 1/8 the size. Summing taps before the multiply, and summing the
-offsets in one GEMM, move results in the last ulps. The backward pass
-de-interleaves the output gradient through the same view, folds the phase
+``conv3d(x, w, b, padding=1, upsample_phases=True)`` is the 3x3x3 conv of the
+nearest x2 upsample of ``x`` without building the upsample, returned as its
+eight output phases. Each output phase (even or odd on each axis) reads only
+2x2x2 low-res voxels, so a constant 0/1 map pre-sums the 27 taps into eight
+phase-stacked 2x2x2 kernels, and one stride-1 kn2row runs them on ``x`` padded
+by 1: 8/27 of the multiply-adds on an input 1/8 the size. The result is the
+kn2row grid as the GEMM writes it, with the phases as batch entries:
+[8 * batch, out, e0 + 1, e1 + 2, e2 + 2], where phase a keeps [a, a + e) of
+each axis and the other grid points are junk. ``interleave_phases`` writes
+the kept points into voxel order and hands the junk points a zero gradient.
+Pointwise work (bias, ReLU, a 1x1 conv) can run on the phases before the
+interleave, so the model interleaves its last stage after the head, on the
+logit channels only. Summing taps before the multiply, and summing the
+offsets in one GEMM, move results in the last ulps. The backward pass lays
+the phases' gradient out plane-major as the kn2row output, folds the phase
 kernels' gradient back through the map, and runs dX on that same buffer.
 
 Importing this module pins glibc's malloc mmap and trim thresholds, so the
@@ -135,6 +141,7 @@ class Tape:
             # out is None after an earlier replay; no gradient: the branch never reached the root
             if out is not None and out.grad is not None:
                 g, out.grad = out.grad, None
+                out = None  # only a rule that reads the output keeps its data alive while it runs
                 rule(g)
 
     def first_nonfinite(self) -> str | None:
@@ -271,12 +278,13 @@ def scale(x: Tensor, k: float) -> Tensor:
     return _record("scale", out, (x,), rule)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+def relu(x: Tensor, inplace: bool = False) -> Tensor:
+    """max(x, 0); ``inplace`` writes it over the data of an ``x`` that nothing else reads."""
+    out = Tensor(np.maximum(x.data, 0.0, out=x.data if inplace else None))
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g * (x.data > 0.0))
+        if x.needs_grad:  # g is this rule's own (see Tensor.accumulate), so it is masked in place
+            x.accumulate(np.multiply(g, out.data > 0.0, out=g))
 
     return _record("relu", out, (x,), rule)
 
@@ -569,12 +577,16 @@ def _plane_major(src: np.ndarray, pads: Sequence[int], kernel: Sequence[int]) ->
     return buf, layout
 
 
-def _plane_zeros(layout: tuple[int, ...], kernel: Sequence[int]) -> np.ndarray:
-    """A zeroed flat buffer for a plane-major ``layout``, with the tail that
-    ``kernel`` offsets read past the last plane."""
+def _plane_zeros(layout: tuple[int, ...], kernel: Sequence[int], body: bool = True) -> np.ndarray:
+    """A flat buffer for a plane-major ``layout``, with the zeroed tail that
+    ``kernel`` offsets read past the last plane; ``body`` zeroes the layout too."""
     padded = (layout[1],) + layout[3:]
     tail = sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a)
-    return np.zeros(math.prod(layout) + tail)
+    if body:
+        return np.zeros(math.prod(layout) + tail)
+    buf = np.empty(math.prod(layout) + tail)
+    buf[math.prod(layout):] = 0.0
+    return buf
 
 
 def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
@@ -629,25 +641,15 @@ def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.nda
     return acc.reshape(acc.shape[:3] + layout[3:])
 
 
-def _phase_view(acc: np.ndarray, up: int, out_ch: int, extents: Sequence[int]) -> np.ndarray:
-    """The [batch, *(up,) * nd, out, *extents] view of a kn2row result
-    [batch, planes, up**nd * out, *other axes] whose output phase a (row-major
-    over the axes) is channel block a and starts at index a of each axis."""
+def _phase_windows(phases: np.ndarray, voxels: np.ndarray, extents: Sequence[int]):
+    """Yield, for each output phase a (row-major over the axes), the points it
+    keeps of ``phases`` [2**nd * batch, ch, *grid], its batch entry a of each
+    group from index a of each axis, and the same points of ``voxels``
+    [batch, ch, *2 * extents], every other voxel from index a of each axis."""
     nd = len(extents)
-    sb, s0, sc, *rest = acc.strides
-    axes = (s0, *rest)
-    phase = tuple(s + sc * out_ch * up ** (nd - 1 - i) for i, s in enumerate(axes))
-    shape = (acc.shape[0],) + (up,) * nd + (out_ch,) + tuple(extents)
-    return np.lib.stride_tricks.as_strided(acc, shape, (sb,) + phase + (sc,) + axes)
-
-
-def _interleaved(a: np.ndarray, up: int) -> np.ndarray:
-    """[batch, ch, *spatial] viewed as [batch, *(up,) * nd, ch, *spatial / up]:
-    phase a of an axis is every up-th voxel from index a."""
-    batch, ch, *spatial = a.shape
-    nd = len(spatial)
-    split = a.reshape((batch, ch) + tuple(x for e in spatial for x in (e // up, up)))
-    return split.transpose((0,) + tuple(range(3, 2 * nd + 2, 2)) + (1,) + tuple(range(2, 2 * nd + 2, 2)))
+    for i, a in enumerate(np.ndindex(*(2,) * nd)):
+        kept = (slice(i, None, 2 ** nd), slice(None)) + tuple(slice(o, o + e) for o, e in zip(a, extents))
+        yield phases[kept], voxels[(slice(None), slice(None)) + tuple(slice(o, None, 2) for o in a)]
 
 
 # Per axis, the 3-tap kernel taps that each (output phase, 2-tap offset) pair
@@ -674,7 +676,7 @@ def _fold_phase_rows(d: np.ndarray) -> np.ndarray:
 
 
 def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, padding: int,
-             upsample: int = 1) -> Tensor:
+             upsample_phases: bool = False) -> Tensor:
     if x.ndim != nd + 2:
         raise ShapeError(f"{name} expects rank-{nd + 2} input [batch, ch, spatial...], got {x.shape}")
     if weight.ndim != nd + 2:
@@ -687,28 +689,30 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
         raise ShapeError(f"{name}: bias shape {bias.shape} must be ({out_ch},)")
     kernel = weight.shape[2:]
     spatial = x.shape[2:]
-    if upsample != 1 and (upsample != 2 or kernel != (3,) * 3 or stride != 1 or padding != 1):
-        raise ShapeError(f"{name}: upsample={upsample} is supported only as 2 in conv3d with a 3x3x3 kernel, "
+    if upsample_phases and (kernel != (3,) * 3 or stride != 1 or padding != 1):
+        raise ShapeError(f"{name}: upsample_phases is supported only in conv3d with a 3x3x3 kernel, "
                          f"stride 1 and padding 1, got kernel {kernel}, stride {stride}, padding {padding}")
-    out_spatial = tuple(conv_output_extent(upsample * e, k, stride, padding) for e, k in zip(spatial, kernel))
 
     # Every conv reads the padded input laid out flat as [batch, first axis, ch,
     # *other axes] and weight rows [out', *kernel', in], and writes one C-order
-    # [batch, out, *spatial] output. Stride 1 runs GEMMs on views of the input
-    # over whole padded planes (see _runs) and writes the output phases
-    # through one strided view of their result (see _phase_view): plain
-    # stride 1 is one phase at the origin; upsample 2 runs the 2x2x2
-    # phase-stacked rows on x padded by 1, and output phase a of each axis
-    # keeps [a, a + e) of the kn2row result. A 1x1 kernel at stride 1 and
-    # padding 0 reads x as the one plane [batch, 1, in, voxels] it already is,
-    # and its kn2row result is the output. Any other stride copies its windows
-    # into one column buffer for one GEMM.
+    # output. Stride 1 runs GEMMs on views of the input over whole padded
+    # planes (see _runs) and keeps the output's region of their grid. The
+    # upsample phases run the 2x2x2 phase-stacked rows on x padded by 1 and
+    # keep the whole grid, its phases as batch entries (see interleave_phases).
+    # A 1x1 kernel at stride 1 and padding 0 reads x as the one plane
+    # [batch, 1, in, voxels] it already is, and its kn2row result is the
+    # output. Any other stride copies its windows into one column buffer for
+    # one GEMM.
     origin = (0,) * nd
     pointwise = stride == 1 and padding == 0 and kernel == (1,) * nd
-    if upsample == 2:
-        rows, kernel, pads, extents = _phase_rows(weight.data), (2,) * nd, (1,) * nd, spatial
+    if upsample_phases:
+        rows, kernel, pads = _phase_rows(weight.data), (2,) * nd, (1,) * nd
+        out_spatial = (spatial[0] + 1,) + tuple(e + 2 for e in spatial[1:])
+        out_shape = (8 * batch, out_ch) + out_spatial
     else:
-        rows, pads, extents = np.moveaxis(weight.data, 1, -1), (padding,) * nd, out_spatial
+        rows, pads = np.moveaxis(weight.data, 1, -1), (padding,) * nd
+        out_spatial = tuple(conv_output_extent(e, k, stride, padding) for e, k in zip(spatial, kernel))
+        out_shape = (batch, out_ch) + out_spatial
 
     def padded(src: np.ndarray, ch: int, pads: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
         if pointwise:
@@ -724,15 +728,17 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
         return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
 
     if pointwise:
-        out_data = _kn2row(xp, layout, rows).reshape((batch, out_ch) + out_spatial)
+        out_data = _kn2row(xp, layout, rows).reshape(out_shape)
         out_data += b
+    elif upsample_phases:  # the GEMM writes the phases as channel blocks, [batch, 8 * out, planes, ...]
+        out_data = np.ascontiguousarray(_kn2row(xp, layout, rows).swapaxes(1, 2)).reshape(out_shape)
+        if bias is not None:
+            out_data += b
     elif stride == 1:
-        out_data = np.empty((batch, out_ch) + out_spatial)
-        acc = _phase_view(_kn2row(xp, layout, rows), upsample, out_ch, extents)
-        np.add(acc, b, out=_interleaved(out_data, upsample))
-        del acc
+        out_data = np.empty(out_shape)
+        np.add(_interior(_kn2row(xp, layout, rows), origin, out_spatial), b, out=out_data)
     else:
-        out_data = np.empty((batch, out_ch) + out_spatial)
+        out_data = np.empty(out_shape)
         res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
         np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b, out=out_data)
         del res
@@ -748,10 +754,13 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
             glayout = (batch, layout[1] - kernel[0] + 1, rows.shape[0]) + layout[3:]
             if pointwise:  # g already is the kn2row output, with no junk points
                 gbuf = padded(g, out_ch, pads)[0]
-            elif xp is not None or upsample == 2:  # g laid out as the kn2row output; junk points get zero gradient
+            elif upsample_phases:  # g is the whole kn2row grid: its phases go back into the channel axis
+                gbuf = _plane_zeros(glayout, kernel, body=False)
+                gl = gbuf[:math.prod(glayout)].reshape((batch, glayout[1], 8, out_ch) + glayout[3:])
+                gl[...] = g.reshape((batch, 8) + g.shape[1:]).transpose(0, 3, 1, 2, 4, 5)
+            elif xp is not None:  # g laid out as the kn2row output; junk points get zero gradient
                 gbuf = _plane_zeros(glayout, kernel)
-                gl = gbuf[:math.prod(glayout)].reshape(glayout)
-                _phase_view(gl, upsample, out_ch, extents)[...] = _interleaved(g, upsample)
+                _interior(gbuf[:math.prod(glayout)].reshape(glayout), origin, out_spatial)[...] = g
             if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T
                 gl = gbuf[:math.prod(glayout)].reshape(glayout[:3] + (-1,))
                 drows = np.empty_like(rows)
@@ -759,10 +768,10 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
                     d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
                     drows[(slice(None), slice(None)) + off] = d.reshape(rows.shape[0], kernel[0], in_ch)
                 del gl, view, xp
-                weight.accumulate(_fold_phase_rows(drows) if upsample == 2 else np.moveaxis(drows, -1, 1))
+                weight.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
             if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
                 flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
-                if upsample == 1:  # the phases pad x by k - 1, so upsample dX reads their gradient buffer unpadded
+                if not upsample_phases:  # the phases pad x by k - 1, so their dX reads the gradient buffer unpadded
                     gbuf, glayout = padded(g, out_ch, tuple(k - 1 - padding for k in kernel))
                 dx = _kn2row(gbuf, glayout, flipped)
                 x.accumulate(dx.reshape(x.shape) if pointwise else _interior(dx, origin, spatial))
@@ -787,22 +796,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0,
-           upsample: int = 1) -> Tensor:
+           upsample_phases: bool = False) -> Tensor:
     """Cross-correlation over [batch, ch, d, h, w] with cubic stride/padding.
 
-    ``upsample=2`` (3x3x3 kernel, stride 1, padding 1 only) convolves the
-    nearest x2 upsample of ``x`` without building it: the same values as
-    ``conv3d(upsample3d_nearest(x, 2), ...)`` up to the last ulps.
+    ``upsample_phases=True`` (3x3x3 kernel, stride 1, padding 1 only)
+    convolves the nearest x2 upsample of ``x`` without building it, and
+    returns the eight output phases as batch entries,
+    [8 * batch, out, d + 1, h + 2, w + 2] with junk points between them:
+    ``interleave_phases`` of it has the same values as
+    ``conv3d(upsample3d_nearest(x, 2), ..., padding=1)`` up to the last ulps.
     """
-    return _conv_nd("conv3d", 3, x, weight, bias, stride, padding, upsample)
+    return _conv_nd("conv3d", 3, x, weight, bias, stride, padding, upsample_phases)
+
+
+def interleave_phases(phases: Tensor) -> Tensor:
+    """The voxel-order [batch, ch, 2 * e0, 2 * e1, 2 * e2] map of eight output phases
+    [8 * batch, ch, e0 + 1, e1 + 2, e2 + 2], as ``conv3d(..., upsample_phases=True)``
+    returns them: phase a (row-major over the axes) is batch entry a of each
+    group of eight and keeps [a, a + e) of each axis. Every other grid point
+    is junk and gets a gradient of exactly zero.
+    """
+    if phases.ndim != 5 or phases.shape[0] % 8 or phases.shape[2] < 2 or min(phases.shape[3:]) < 3:
+        raise ShapeError(f"interleave_phases expects [8 * batch, ch, e0 + 1, e1 + 2, e2 + 2] with every e >= 1, "
+                         f"got {phases.shape}")
+    extents = (phases.shape[2] - 1,) + tuple(s - 2 for s in phases.shape[3:])
+    out = Tensor(np.empty((phases.shape[0] // 8, phases.shape[1]) + tuple(2 * e for e in extents)))
+    for kept, voxels in _phase_windows(phases.data, out.data, extents):  # one strided copy per phase
+        voxels[...] = kept
+
+    def rule(g: np.ndarray) -> None:
+        if phases.needs_grad:
+            buf = np.zeros(phases.shape)
+            for kept, voxels in _phase_windows(buf, g, extents):
+                kept[...] = voxels
+            phases.accumulate(buf)
+
+    return _record("interleave_phases", out, (phases,), rule)
 
 
 def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
     """Repeat every voxel ``factor`` times along each spatial axis.
 
-    No model calls it: ``conv3d(..., upsample=2)`` convolves the upsample
-    without building it, and this op is the reference that path is tested
-    against.
+    No model calls it: ``conv3d(..., upsample_phases=True)`` convolves the
+    upsample without building it, and this op is the reference that path is
+    tested against.
     """
     if x.ndim != 5:
         raise ShapeError(f"upsample3d expects rank-5 input, got {x.shape}")

@@ -62,7 +62,7 @@ def _layer_norm_np(x, norm):
     mu = x.mean(axis=1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=1, keepdims=True)
-    return centered / np.sqrt(var + norm.eps) * norm.gain.data + norm.bias.data
+    return centered / np.sqrt(var + norm.EPS) * norm.gain.data + norm.bias.data
 
 
 def test_criterion_2_subset_oracle_equivalence():

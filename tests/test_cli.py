@@ -11,7 +11,9 @@ import pytest
 
 import metacross.cli as cli
 import metacross.harness as harness
+import metacross.segmentation as segmentation
 from metacross.cli import GRADCHECK_THRESHOLD, main
+from metacross.configfile import load_config
 
 
 MICRO_SEG = """
@@ -403,6 +405,27 @@ def test_sweep_rejects_non_finite_checkpoint(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.cfg", MICRO_SEG + f"checkpoint = {ckpt}\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "parameter head.weight has non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_sweep_exits_two_when_the_logits_overflow(tmp_path, capsys):
+    # finite decoder weights of 1e308 overflow the logits past the attention; the
+    # arg-max used to turn them into labels and the sweep wrote dice from them
+    assert main(["train-seg", "--config", _write(tmp_path, "seg.cfg", MICRO_SEG),
+                 "--out", str(tmp_path / "run")]) == 0
+    values = load_config(_write(tmp_path, "seg.cfg", MICRO_SEG), "seg")
+    model = segmentation.SegModel(harness.seg_config_from_values(values))
+    ckpt = tmp_path / "run" / "checkpoint.ckpt"
+    segmentation.load_checkpoint(model, ckpt)
+    for conv in model.decoder + [model.head]:
+        conv.weight.data[...] = 1e308
+    segmentation.save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    cfg = _write(tmp_path, "sweep.cfg", MICRO_SEG + f"checkpoint = {ckpt}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "numeric failure: predict_labels: the logits are not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

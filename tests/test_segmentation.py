@@ -188,7 +188,7 @@ def test_forward_lays_tokens_out_on_the_grid(monkeypatch):
     conv3d = T.conv3d
 
     def recording(x, weight, *args, **kwargs):
-        if kwargs.get("upsample") == 2:
+        if kwargs.get("upsample_phases"):
             seen.append(x.data.copy())
         return conv3d(x, weight, *args, **kwargs)
 
@@ -208,9 +208,12 @@ def test_skip_connection_widens_decoder_input():
     assert model.decoder[1].in_ch == cfg.decoder_channels[0]
 
 
-def _forward_through_concat(model, batch):
-    """SegModel.forward with the skip stage as upsample, concat and one conv over
-    all its input channels: the reference the split skip-stage convs must match."""
+def _forward_interleaving_first(model, batch, concat_skip=False):
+    """SegModel.forward with every stage's phases interleaved before its ReLU,
+    the last stage's before its head too. With ``concat_skip`` the skip stage
+    is upsample, concat and one conv over all its input channels. These are
+    the references the model's interleave-last tail and split skip-stage convs
+    must match."""
     cfg = model.cfg
     fused = model._encode(batch)
     tokens = model.tokenizer(fused)
@@ -221,10 +224,16 @@ def _forward_through_concat(model, batch):
     x = T.reshape(T.transpose(tokens, (1, 0)), (1, cfg.attention.embed_dim, g, g, g))
     aux = []
     for i, conv in enumerate(model.decoder):
-        if i == cfg.skip_stage:
-            x = conv(T.concat([T.upsample3d_nearest(x, 2), T.reshape(fused, (1,) + fused.shape)], axis=1))
+        f = T.reshape(fused, (1,) + fused.shape)
+        if i == cfg.skip_stage and concat_skip:
+            x = conv(T.concat([T.upsample3d_nearest(x, 2), f], axis=1))
+        elif i == cfg.skip_stage:
+            c = x.shape[1]
+            x = T.add(T.interleave_phases(T.conv3d(x, T.narrow(conv.weight, 1, 0, c), conv.bias, padding=1,
+                                                   upsample_phases=True)),
+                      T.conv3d(f, T.narrow(conv.weight, 1, c, conv.in_ch - c), None, padding=1))
         else:
-            x = T.conv3d(x, conv.weight, conv.bias, padding=1, upsample=2)
+            x = T.interleave_phases(T.conv3d(x, conv.weight, conv.bias, padding=1, upsample_phases=True))
         x = T.relu(x)
         if i < len(model.decoder) - 1:
             a = model.aux_heads[i](x)
@@ -252,9 +261,17 @@ def test_skip_stage_split_convs_match_upsample_concat_conv(monkeypatch, cfg):
         for name in ("upsample3d_nearest", "concat"):
             m.setattr(T, name, lambda *args, name=name, **kwargs: pytest.fail(f"forward called {name}"))
         logits, grads = _logits_and_grads(model, batch, model.forward)
-    want_logits, want_grads = _logits_and_grads(model, batch, lambda b: _forward_through_concat(model, b))
+    want_logits, want_grads = _logits_and_grads(model, batch,
+                                              lambda b: _forward_interleaving_first(model, b, concat_skip=True))
 
     assert np.abs(logits - want_logits).max() <= 1e-13 * np.abs(want_logits).max()
+    _assert_grads_agree(grads, want_grads)
+    skip = model.decoder[cfg.skip_stage]
+    assert grads[f"decoder.{cfg.skip_stage}.weight"].shape == (skip.out_ch, skip.in_ch, 3, 3, 3)
+
+
+def _assert_grads_agree(grads, want_grads):
+    """Every parameter gradient within 1e-13 of the reference's, relative to its largest entry."""
     assert grads.keys() == want_grads.keys()
     top = max(np.abs(want).max() for want in want_grads.values())
     for name, want in want_grads.items():
@@ -263,8 +280,50 @@ def test_skip_stage_split_convs_match_upsample_concat_conv(monkeypatch, cfg):
         scale = top if name == "meta_encoder.k_proj.bias" else np.abs(want).max()
         assert grads[name].shape == want.shape, name
         assert np.abs(grads[name] - want).max() <= 1e-13 * scale, name
-    skip = model.decoder[cfg.skip_stage]
-    assert grads[f"decoder.{cfg.skip_stage}.weight"].shape == (skip.out_ch, skip.in_ch, 3, 3, 3)
+
+
+@pytest.mark.parametrize("cfg", [_tiny_cfg(), SegConfig()], ids=["tiny", "default"])
+def test_last_stage_interleaves_after_the_head(cfg):
+    # bias, ReLU and the 1x1 head are pointwise, so running them on the phases
+    # and interleaving the logits changes no value; only the head's weight
+    # gradient sums its columns in another order
+    model = SegModel(cfg, rng=np.random.default_rng(20))
+    batch = _batch(cfg, seed=21)
+    logits, grads = _logits_and_grads(model, batch, model.forward)
+    want_logits, want_grads = _logits_and_grads(model, batch, lambda b: _forward_interleaving_first(model, b))
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(model.forward(batch)[0].data, want_logits)  # and without a tape
+    _assert_grads_agree(grads, want_grads)
+
+
+def test_forward_without_tape_never_builds_the_full_resolution_feature_map():
+    # the last stage's 8 channels at 32^3 stay phase-split: only the 2 logit
+    # channels are interleaved. Every array an op returns is live when its
+    # Tensor is built, so a snapshot there sees any such map
+    cfg = SegConfig()
+    model = SegModel(cfg, rng=np.random.default_rng(22))
+    batch = _batch(cfg, seed=23)
+    model.forward(batch)  # warm-up
+    full = 8 * cfg.decoder_channels[-1] * cfg.extent ** 3
+    init = Tensor.__init__
+    largest = []
+
+    def snapshot(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        traces = tracemalloc.take_snapshot().traces
+        largest.append(max(t.size for t in traces))
+        assert all(t.size != full for t in traces), f"a {full}-byte block is live after an op returned {self.shape}"
+
+    tracemalloc.start()
+    Tensor.__init__ = snapshot
+    try:
+        logits, _ = model.forward(batch)
+    finally:
+        Tensor.__init__ = init
+        tracemalloc.stop()
+    assert logits.shape == (2,) + (cfg.extent,) * 3
+    # the phase buffer is the largest: [8 phases, 8 channels, 17, 18, 18]
+    assert max(largest) >= 8 * 8 * 8 * 17 * 18 * 18
 
 
 def test_predict_labels_values():
@@ -273,6 +332,54 @@ def test_predict_labels_values():
     labels = predict_labels(model, _batch(cfg, seed=5))
     assert labels.shape == (8, 8, 8)
     assert set(np.unique(labels)) <= {0, 1}
+
+
+class _FixedLogits:
+    """A stand-in model whose forward returns the given logits."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def forward(self, batch):
+        return Tensor(self.logits), []
+
+
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_predict_labels_matches_argmax_with_ties(n_classes):
+    # integer logits in [-1, 1] tie often: the first maximum wins, as in np.argmax
+    rng = np.random.default_rng(n_classes)
+    logits = rng.integers(-1, 2, size=(n_classes, 6, 5, 4)).astype(np.float64)
+    logits[:, 0, 0, 0] = 0.5  # all classes tied
+    logits[:, 0, 0, 1] = [-0.0] + [0.0] * (n_classes - 1)  # -0.0 == +0.0 is a tie too
+    labels = predict_labels(_FixedLogits(logits), None)
+    want = np.argmax(logits, axis=0)
+    assert np.array_equal(labels, want) and labels.dtype == want.dtype
+    assert labels[0, 0, 0] == 0 and labels[0, 0, 1] == 0
+    assert (np.sum(logits == logits.max(axis=0), axis=0) > 1).sum() > 10
+
+    cfg = _tiny_cfg(n_seg_classes=n_classes)
+    model = SegModel(cfg, rng=np.random.default_rng(24))
+    batch = _batch(cfg, seed=25)
+    assert np.array_equal(predict_labels(model, batch), np.argmax(model.forward(batch)[0].data, axis=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_labels_rejects_non_finite_logits(bad):
+    logits = np.zeros((2, 4, 4, 4))
+    logits[1, 2, 3, 1] = bad
+    with pytest.raises(NumericError, match="logits are not finite"):
+        predict_labels(_FixedLogits(logits), None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_predict_labels_raises_on_an_overflowing_model():
+    cfg = _tiny_cfg()
+    model = SegModel(cfg, rng=np.random.default_rng(26))
+    for conv in model.decoder + [model.head]:
+        conv.weight.data[...] = 1e308
+    with pytest.raises(NumericError, match="logits are not finite"):
+        predict_labels(model, _batch(cfg, seed=27))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,25 @@ def test_gelu_known_values():
     assert abs(out.data[1] - 0.8413447460685429) < 1e-15
 
 
+def test_relu_in_place_matches_out_of_place():
+    rng = np.random.default_rng(2)
+    x0 = rng.normal(size=(3, 4))
+    x0[0, :2] = (0.0, -0.0)
+    g = rng.normal(size=x0.shape)
+    results = []
+    for inplace in (False, True):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = T.relu(x, inplace=inplace)
+            tape.backward(T.sum_(T.mul(y, Tensor(g))))
+        assert np.shares_memory(y.data, x.data) == inplace
+        results.append((y.data, x.grad))
+    assert np.array_equal(results[0][0], np.maximum(x0, 0.0))
+    assert np.array_equal(results[0][1], g * (x0 > 0.0))
+    for got, want in zip(results[1], results[0]):
+        assert np.array_equal(got, want)
+
+
 def test_mean_axis_matches_numpy():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(3, 4, 5)))
@@ -426,6 +445,11 @@ def _conv_grads(x, w, b, g, conv):
 UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4)), (2, 20, 2, (3, 4, 3))]
 
 
+def _upsample_conv(xt, wt, bt):
+    """The 3x3x3 conv of the nearest x2 upsample of ``xt``: its phases, interleaved."""
+    return T.interleave_phases(T.conv3d(xt, wt, bt, padding=1, upsample_phases=True))
+
+
 @pytest.mark.parametrize("with_bias", [True, False])
 @pytest.mark.parametrize("batch, cin, cout, extents", UPSAMPLE_GEOMETRIES)
 def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, with_bias):
@@ -433,7 +457,7 @@ def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, w
     x, w = rng.normal(size=(batch, cin) + extents), rng.normal(size=(cout, cin, 3, 3, 3))
     b = rng.normal(size=cout) if with_bias else None
     g = rng.normal(size=(batch, cout) + tuple(2 * e for e in extents))
-    fused = _conv_grads(x, w, b, g, lambda xt, wt, bt: T.conv3d(xt, wt, bt, padding=1, upsample=2))
+    fused = _conv_grads(x, w, b, g, _upsample_conv)
     plain = _conv_grads(x, w, b, g, lambda xt, wt, bt: T.conv3d(T.upsample3d_nearest(xt, 2), wt, bt, padding=1))
     assert fused[0].shape == plain[0].shape
     for got, want in zip(fused, plain):
@@ -441,6 +465,48 @@ def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, w
             assert got is None
         else:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("batch, cin, cout, extents", [UPSAMPLE_GEOMETRIES[2], UPSAMPLE_GEOMETRIES[3]],
+                         ids=["stacking", "accumulating"])
+def test_upsample_phase_and_interleave_ops_gradcheck(batch, cin, cout, extents):
+    # each op alone, under a random weighting of every output point; the phase
+    # op's junk points are outputs too, so their weights reach x, w and b. Both
+    # ops are linear, so central differences miss only by roundoff (about 1e-8
+    # here), where a wrong adjoint misses by order 1
+    rng = np.random.default_rng(47)
+    x = Tensor(rng.uniform(-2, 2, (batch, cin) + extents))
+    w, b = Tensor(rng.uniform(-1, 1, (cout, cin, 3, 3, 3))), Tensor(rng.uniform(-1, 1, cout))
+    grid = (8 * batch, cout, extents[0] + 1) + tuple(e + 2 for e in extents[1:])
+    gp = Tensor(rng.uniform(-1, 1, grid))
+    phases = T.conv3d(x, w, b, padding=1, upsample_phases=True)
+    assert phases.shape == grid and phases.data.flags.c_contiguous
+    for t in (x, w, b):
+        assert grad_check(lambda _: T.sum_(T.mul(T.conv3d(x, w, b, padding=1, upsample_phases=True), gp)), t) < 1e-6
+    p = Tensor(rng.uniform(-2, 2, grid))
+    gi = Tensor(rng.uniform(-1, 1, (batch, cout) + tuple(2 * e for e in extents)))
+    assert grad_check(lambda t: T.sum_(T.mul(T.interleave_phases(t), gi)), p) < 1e-6
+
+
+def test_interleave_gives_junk_points_exactly_zero_gradient():
+    rng = np.random.default_rng(53)
+    extents = (3, 4, 2)
+    grid = (16, 3, 4, 6, 4)  # batch 2, 3 channels
+    index = T.interleave_phases(Tensor(np.arange(np.prod(grid), dtype=np.float64).reshape(grid))).data
+    kept = np.zeros(np.prod(grid), dtype=bool)
+    kept[index.astype(np.int64).ravel()] = True
+    assert kept.sum() == index.size == 2 * 3 * 8 * np.prod(extents)  # each kept point lands once
+
+    p = Tensor(rng.normal(size=grid), requires_grad=True)
+    g = rng.normal(size=index.shape)
+    with Tape() as tape:
+        y = T.interleave_phases(p)
+        tape.backward(T.sum_(T.mul(y, Tensor(g))))
+    assert np.array_equal(y.data.ravel(), p.data.ravel()[index.astype(np.int64).ravel()])
+    assert y.data.flags.c_contiguous
+    grad = p.grad.ravel()
+    assert np.all(grad[~kept] == 0.0) and not np.signbit(grad[~kept]).any()
+    assert np.array_equal(grad[index.astype(np.int64).ravel()], g.ravel())
 
 
 @pytest.mark.parametrize("x_shape, w_shape, stride, padding, upsample", [
@@ -455,9 +521,11 @@ def test_conv_writes_one_c_order_output(x_shape, w_shape, stride, padding, upsam
     # small integers: every sum is exact in float64, so any kernel must match bitwise
     rng = np.random.default_rng(43)
     x, w, b = (rng.integers(-3, 4, size=s).astype(np.float64) for s in (x_shape, w_shape, w_shape[:1]))
-    conv = T.conv3d if len(x_shape) == 5 else T.conv2d
-    kwargs = dict(upsample=2) if upsample == 2 else {}
-    got = conv(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, **kwargs).data
+    if upsample == 2:
+        got = _upsample_conv(Tensor(x), Tensor(w), Tensor(b)).data
+    else:
+        conv = T.conv3d if len(x_shape) == 5 else T.conv2d
+        got = conv(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
     for axis in range(2, x.ndim):
         x = np.repeat(x, upsample, axis=axis)
     assert got.flags.c_contiguous
@@ -466,11 +534,14 @@ def test_conv_writes_one_c_order_output(x_shape, w_shape, stride, padding, upsam
 
 def test_conv_upsample_rejects_unsupported_geometry():
     x3, w3 = Tensor(np.zeros((1, 2, 4, 4, 4))), Tensor(np.zeros((3, 2, 3, 3, 3)))
-    for kwargs in (dict(stride=2, padding=1, upsample=2), dict(padding=0, upsample=2), dict(padding=1, upsample=3)):
+    for kwargs in (dict(stride=2, padding=1), dict(padding=0)):
         with pytest.raises(ShapeError, match="upsample"):
-            T.conv3d(x3, w3, **kwargs)
+            T.conv3d(x3, w3, upsample_phases=True, **kwargs)
     with pytest.raises(ShapeError, match="upsample"):
-        T.conv3d(x3, Tensor(np.zeros((3, 2, 1, 1, 1))), padding=1, upsample=2)
+        T.conv3d(x3, Tensor(np.zeros((3, 2, 1, 1, 1))), padding=1, upsample_phases=True)
+    for shape in ((8, 2, 4, 4), (12, 2, 4, 5, 5), (8, 2, 1, 5, 5), (8, 2, 4, 2, 5)):
+        with pytest.raises(ShapeError, match="interleave_phases"):
+            T.interleave_phases(Tensor(np.zeros(shape)))
 
 
 def test_conv2d_identity_kernel():
