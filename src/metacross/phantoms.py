@@ -83,9 +83,10 @@ class PhantomSpec:
 
 def sphere_mask(extent: int, center: tuple[float, float, float], radius: float) -> np.ndarray:
     """Boolean voxel grid: inside iff squared distance to center <= radius^2."""
-    zz, yy, xx = np.meshgrid(*(np.arange(extent, dtype=np.float64),) * 3, indexing="ij")
+    axis = np.arange(extent, dtype=np.float64)
     cz, cy, cx = center
-    return (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2
+    # three broadcast axes give each voxel the sums a meshgrid would, in the same order
+    return ((axis[:, None, None] - cz) ** 2 + (axis[:, None] - cy) ** 2) + (axis - cx) ** 2 <= radius ** 2
 
 
 def _sample_sphere(rng: np.random.Generator, extent: int, radius_range) -> tuple[np.ndarray, float]:

@@ -172,6 +172,7 @@ class SegModel(Module):
         return T.reshape(fused, (fused.shape[1], ee, ee, ee))
 
     def forward(self, batch: SegBatch) -> tuple[Tensor, list[Tensor]]:
+        """The logits and, while a tape records, the deep-supervision logits ([] otherwise)."""
         cfg = self.cfg
         if batch.volumes.shape[1:] != (cfg.extent,) * 3:
             raise ShapeError(f"model built for extent {cfg.extent}, got volume {batch.volumes.shape}")
@@ -191,8 +192,10 @@ class SegModel(Module):
         # phases and interleaves them into voxel order. The last stage's bias,
         # ReLU and 1x1 head are pointwise, so they run on the phases, and only
         # the logit channels are interleaved; the ReLU overwrites the phases,
-        # which nothing else reads.
+        # which nothing else reads. Only the loss reads the deep-supervision
+        # logits, so they are built only while a tape records.
         aux: list[Tensor] = []
+        supervise = cfg.deep_supervision and T.active_tape() is not None
         for i, conv in enumerate(self.decoder[:-1]):
             if i == cfg.skip_stage:  # conv(concat(up(x), f), W) = conv(up(x), W[:, :c]) + conv(f, W[:, c:])
                 c = x.shape[1]
@@ -203,7 +206,7 @@ class SegModel(Module):
             else:
                 x = T.interleave_phases(T.conv3d(x, conv.weight, conv.bias, padding=1, upsample_phases=True))
             x = T.relu(x)
-            if cfg.deep_supervision:
+            if supervise:
                 a = self.aux_heads[i](x)
                 ext = a.shape[2]
                 aux.append(T.reshape(a, (cfg.n_seg_classes, ext, ext, ext)))

@@ -49,6 +49,14 @@ offsets in one GEMM, move results in the last ulps. The backward pass lays
 the phases' gradient out plane-major as the kn2row output, folds the phase
 kernels' gradient back through the map, and runs dX on that same buffer.
 
+``gelu`` is the exact GELU, and its ``erf`` is ``_erf``: scipy's algorithm
+(cephes ``ndtr.c``) in numpy, so the runtime needs numpy alone and the values
+are bitwise those of ``scipy.special.erf``. It splits at |x| = 1: a rational
+in x^2 below, and 1 - erfc(|x|) above, where erfc needs ``exp(-x^2)``. That
+``exp`` must be the C library's, which numpy's float64 ``np.exp`` is not on
+every CPU (its SIMD path rounds some values differently), so it goes through
+the complex ``np.exp``, which calls the C library's ``cexp``.
+
 Importing this module pins glibc's malloc mmap and trim thresholds, so the
 megabytes a forward frees stay mapped for the next one (see ``_pin_malloc_thresholds``).
 """
@@ -60,13 +68,60 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import DegenerateMaskError, NumericError, ShapeError
 
 _NEG_INF = float("-inf")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# cephes ndtr.c: erf on [0, 1] is x T(x^2) / U(x^2), and erfc on (1, 8) is
+# exp(-x^2) P(x) / Q(x); U and Q have a leading coefficient of 1 (p1evl)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x: np.ndarray, coef: Sequence[float], monic: bool = False) -> np.ndarray:
+    """cephes polevl (``monic``: p1evl, an implicit leading 1), in its operation order."""
+    ans = x + coef[0] if monic else x * coef[0] + coef[1]
+    for c in coef[1 if monic else 2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.erf``, bitwise: cephes ``ndtr.c`` on |x| with the sign copied back.
+
+    cephes computes erf(|x|) as x T(z) / U(z) with z = x^2 for |x| <= 1, and as
+    1 - exp(-x^2) P(x) / Q(x) above. The rational runs on every entry, clamped
+    to 1 so large inputs raise no overflow, and the erfc branch overwrites the
+    entries past 1. Past 8 cephes switches to other coefficients, but erfc(8)
+    is about 1e-29, so every branch rounds 1 - erfc to exactly 1.0 there, and
+    the entries are clamped to 8. numpy's float64 ``np.exp`` may take a SIMD
+    path that rounds differently from the C library's ``exp`` (4.6% of values
+    on [-64, -1] with AVX-512); the complex ``np.exp`` calls the C library's
+    ``cexp``, which at zero phase returns its ``exp`` exactly.
+    """
+    a = np.abs(x).reshape(-1)
+    s = np.minimum(a, 1.0)
+    z = s * s
+    out = s * _horner(z, _ERF_T)
+    out /= _horner(z, _ERF_U, monic=True)
+    big = np.flatnonzero(a > 1.0)  # flat take and put beat a boolean mask's gather and scatter
+    if big.size:
+        t = np.minimum(a.take(big), 8.0)
+        e = np.exp((t * -t).astype(np.complex128)).real
+        out.put(big, 1.0 - e * _horner(t, _ERFC_P) / _horner(t, _ERFC_Q, monic=True))
+    return np.copysign(out.reshape(np.shape(x)), x)
 
 
 def _pin_malloc_thresholds() -> None:

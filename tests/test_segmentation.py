@@ -127,7 +127,8 @@ def test_batch_validation():
 def test_forward_shapes_and_aux_extents():
     cfg = _tiny_cfg()
     model = SegModel(cfg, rng=np.random.default_rng(0))
-    logits, aux = model.forward(_batch(cfg))
+    with Tape():
+        logits, aux = model.forward(_batch(cfg))
     assert logits.shape == (2, 8, 8, 8)
     assert len(aux) == len(cfg.decoder_channels) - 1
     assert aux[0].shape == (2, 4, 4, 4)
@@ -136,8 +137,22 @@ def test_forward_shapes_and_aux_extents():
 def test_forward_without_deep_supervision():
     cfg = _tiny_cfg(deep_supervision=False)
     model = SegModel(cfg, rng=np.random.default_rng(0))
-    _, aux = model.forward(_batch(cfg))
+    with Tape():
+        _, aux = model.forward(_batch(cfg))
     assert aux == []
+
+
+def test_forward_without_tape_skips_the_aux_heads():
+    # only the loss reads the deep-supervision logits, and inference records no tape
+    cfg = _tiny_cfg()
+    model = SegModel(cfg, rng=np.random.default_rng(0))
+    batch = _batch(cfg)
+    with Tape():
+        want, _ = model.forward(batch)
+    model.aux_heads = [None] * len(model.aux_heads)  # calling one would raise
+    logits, aux = model.forward(batch)
+    assert aux == []
+    assert np.array_equal(logits.data, want.data)
 
 
 def test_forward_validates_batch():

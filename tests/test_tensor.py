@@ -4,8 +4,11 @@ Expected values are either hand-derived closed forms or brute-force oracles
 computed inline with plain numpy loops.
 """
 
+import os
 import platform
 import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -74,6 +77,38 @@ def test_gelu_known_values():
     assert out.data[0] == 0.0
     # 0.5 * (1 + erf(1/sqrt(2)))
     assert abs(out.data[1] - 0.8413447460685429) < 1e-15
+
+
+def _erf_edges():
+    one = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+    tiny = np.array([5e-324, 1e-310, np.finfo(np.float64).tiny])
+    pos = np.concatenate([[0.0, 8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 1e300, np.inf],
+                          one, tiny, np.linspace(26.0, 27.0, 1001)])
+    return np.concatenate([pos, -pos])
+
+
+def test_erf_matches_scipy_bitwise():
+    # the runtime's erf is cephes' algorithm in numpy; scipy's is the same algorithm compiled
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), _erf_edges()])
+    got, want = T._erf(x), special.erf(x)  # a RuntimeWarning here fails the test
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_erf_edges():
+    x = _erf_edges()
+    got = T._erf(x)
+    assert np.array_equal(np.signbit(got), np.signbit(x))  # -0.0 stays -0.0
+    assert got[x == np.inf] == 1.0 and got[x == -np.inf] == -1.0
+    assert np.all(np.abs(got[np.abs(x) >= 8.0]) == 1.0)
+    assert np.isnan(T._erf(np.array([np.nan]))).all()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, metacross, metacross.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_relu_in_place_matches_out_of_place():
