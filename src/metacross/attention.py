@@ -80,7 +80,7 @@ class PatchTokenizer(Module):
         patches = T.reshape(x, (self.n_tokens, c * p ** 3))
         return T.add(self.proj(patches), self.positional)
 
-    def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "tokenizer"):
+    def cost_rows(self, name: str = "tokenizer"):
         from .complexity import LayerCost, linear_flops
 
         patch_len = self.proj.in_features

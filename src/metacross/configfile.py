@@ -26,8 +26,8 @@ def _to_bool(raw: str) -> bool:
 
 
 def _to_int_list(raw: str) -> tuple[int, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    return tuple(int(s) for s in items)
+    """An empty value is the empty list; an empty entry in a non-empty one is an error."""
+    return tuple(int(s) for s in raw.split(",")) if raw.strip() else ()
 
 
 _CONVERTERS = {

@@ -86,6 +86,8 @@ def seg_config_from_values(values: dict) -> SegConfig:
 
 def train_segmentation(values: dict) -> tuple[SegModel, list[float]]:
     """Train one shared model under random availability."""
+    if values["checkpoint"]:  # only sweep reads one; training would ignore it
+        raise ConfigError(f"config key 'checkpoint': train-seg reads no checkpoint, got {values['checkpoint']!r}")
     data_seed, model_seed, step_seed = _seeds(values["seed"], 3)
     cfg = seg_config_from_values(values)  # a geometry error is raised before the phantoms are made
     phantoms = generate_seg_phantoms(_phantom_spec(values, values["n_train"], data_seed))
@@ -366,10 +368,10 @@ def gradcheck_suite(seed: int) -> dict[str, float]:
     target3 = rng.integers(0, 3, size=(8, 8, 8))
     logits3 = Tensor(rng.uniform(-2, 2, (3, 8, 8, 8)))
     results["combined_loss"] = max(
-        grad_check(lambda t: combined_loss(t, target, [small], epoch=1, total_epochs=2, cfg=cfg), logits, h=1e-5),
+        grad_check(lambda t: combined_loss(t, target, [small], epoch=1, total_epochs=2, cfg=cfg), logits),
         # the aux head at weight ds_decay = 0.4
-        grad_check(lambda t: combined_loss(logits, target, [t], epoch=1, total_epochs=2, cfg=cfg), small, h=1e-5),
-        grad_check(lambda t: combined_loss(t, target3, [], cfg=cfg), logits3, h=1e-5),
+        grad_check(lambda t: combined_loss(logits, target, [t], epoch=1, total_epochs=2, cfg=cfg), small),
+        grad_check(lambda t: combined_loss(t, target3, [], cfg=cfg), logits3),
     )
 
     return results

@@ -56,17 +56,14 @@ class Module:
 class Linear(Module):
     """Affine map ``x @ weight + bias`` on rank-2 inputs."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, *, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
         self.weight = parameter(rng, (self.in_features, self.out_features), 1.0 / np.sqrt(self.in_features))
-        self.bias = Tensor(np.zeros(self.out_features), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(self.out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.add(T.matmul(x, self.weight), self.bias)
 
     def cost_rows(self, input_shape: tuple[int, ...], name: str = "linear"):
         from .complexity import LayerCost, linear_flops
@@ -74,8 +71,8 @@ class Linear(Module):
         if len(input_shape) != 2 or input_shape[1] != self.in_features:
             raise ShapeError(f"linear cost: input {input_shape} incompatible with in_features {self.in_features}")
         n = input_shape[0]
-        params = self.weight.size + (self.bias.size if self.bias is not None else 0)
-        return [LayerCost(name, "linear", params, linear_flops(n, self.in_features, self.out_features, self.bias is not None))]
+        params = self.weight.size + self.bias.size
+        return [LayerCost(name, "linear", params, linear_flops(n, self.in_features, self.out_features, bias=True))]
 
 
 class Conv(Module):
@@ -125,20 +122,16 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias, eps=self.EPS)
 
 
-def global_grad_norm(params: list[Tensor]) -> float:
+def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
+    """Scale all gradients so the global norm is at most ``max_norm``.
+
+    Returns the pre-clip norm; a parameter without a gradient adds nothing to it.
+    """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.
-    """
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for p in params:

@@ -216,7 +216,7 @@ class SegModel(Module):
         logits = T.interleave_phases(self.head(phases))
         return T.reshape(logits, (cfg.n_seg_classes,) + (cfg.extent,) * 3), aux
 
-    def cost_rows(self, input_shape: tuple[int, ...] | None = None, name: str = "seg"):
+    def cost_rows(self, name: str = "seg"):
         from .complexity import LayerCost, metadata_cross_rows
 
         cfg = self.cfg

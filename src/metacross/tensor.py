@@ -8,6 +8,11 @@ gradients into ``Tensor.grad``. Outside a tape the same functions run forward
 only, which is what inference paths use. Tapes nest on one module-level stack
 and an op records onto the innermost, so one thread at a time may record.
 
+An op is recorded only when one of its inputs needs a gradient, and a rule
+runs only for a recorded op. So a rule with one input accumulates into it
+unconditionally, and a rule with several inputs tests each one's
+``needs_grad``.
+
 Gradient lifetime: a tape is replayed once, and each node is released as soon
 as its rule has run, so after backward only leaves (tensors no rule produced:
 parameters and inputs) hold ``.grad``. A rule hands each gradient array to one
@@ -327,8 +332,7 @@ def scale(x: Tensor, k: float) -> Tensor:
     out = Tensor(x.data * k)
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g * k)
+        x.accumulate(g * k)
 
     return _record("scale", out, (x,), rule)
 
@@ -337,9 +341,8 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
     """max(x, 0); ``inplace`` writes it over the data of an ``x`` that nothing else reads."""
     out = Tensor(np.maximum(x.data, 0.0, out=x.data if inplace else None))
 
-    def rule(g: np.ndarray) -> None:
-        if x.needs_grad:  # g is this rule's own (see Tensor.accumulate), so it is masked in place
-            x.accumulate(np.multiply(g, out.data > 0.0, out=g))
+    def rule(g: np.ndarray) -> None:  # g is this rule's own (see Tensor.accumulate), so it is masked in place
+        x.accumulate(np.multiply(g, out.data > 0.0, out=g))
 
     return _record("relu", out, (x,), rule)
 
@@ -350,9 +353,8 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor(x.data * cdf)
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            x.accumulate(g * (cdf + x.data * pdf))
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        x.accumulate(g * (cdf + x.data * pdf))
 
     return _record("gelu", out, (x,), rule)
 
@@ -361,8 +363,7 @@ def exp(x: Tensor) -> Tensor:
     out = Tensor(np.exp(x.data))
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g * out.data)
+        x.accumulate(g * out.data)
 
     return _record("exp", out, (x,), rule)
 
@@ -373,8 +374,7 @@ def log(x: Tensor) -> Tensor:
     out = Tensor(np.log(x.data))
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g / x.data)
+        x.accumulate(g / x.data)
 
     return _record("log", out, (x,), rule)
 
@@ -395,23 +395,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), rule)
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+def sum_(x: Tensor, axis=None) -> Tensor:
+    out = Tensor(x.data.sum(axis=axis))
 
     def rule(g: np.ndarray) -> None:
-        if not x.needs_grad:
-            return
-        gg = g
-        if axis is not None and not keepdims:
+        if axis is not None:
             axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(a % x.ndim for a in axes):
-                gg = np.expand_dims(gg, ax)
-        x.accumulate(np.broadcast_to(gg, x.shape))
+                g = np.expand_dims(g, ax)
+        x.accumulate(np.broadcast_to(g, x.shape))
 
     return _record("sum", out, (x,), rule)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x: Tensor, axis=None) -> Tensor:
     if axis is None:
         n = x.size
     else:
@@ -419,7 +416,7 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         n = 1
         for ax in axes:
             n *= x.shape[ax % x.ndim]
-    return scale(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(sum_(x, axis=axis), 1.0 / n)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -429,9 +426,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = Tensor(z - lse)
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            soft = np.exp(out.data)
-            x.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        soft = np.exp(out.data)
+        x.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
     return _record("log_softmax", out, (x,), rule)
 
@@ -439,27 +435,23 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def masked_softmax_rows(scores: Tensor, mask: Tensor) -> Tensor:
     """Row-wise softmax of ``scores + mask`` where mask entries are 0 or -inf.
 
-    ``mask`` is one row, broadcast over every row of ``scores``, or one row
-    per score row. The row max used for stabilization is taken over available entries only,
-    so masked positions come out as an exact IEEE 0.0 and each row of the
-    result sums to 1 over the available set. Masked positions are constants
-    for the backward pass. A fully masked row is an error, not a NaN.
+    ``mask`` is one row, broadcast over every row of ``scores``. The row max
+    used for stabilization is taken over available entries only, so masked
+    positions come out as an exact IEEE 0.0 and each row of the result sums
+    to 1 over the available set. Masked positions are constants for the
+    backward pass. A fully masked row is an error, not a NaN.
     """
-    if scores.ndim != 2 or mask.ndim != 2:
-        raise ShapeError(f"masked softmax expects rank-2 inputs, got {scores.shape} and {mask.shape}")
-    if mask.shape[1] != scores.shape[1] or mask.shape[0] not in (1, scores.shape[0]):
-        raise ShapeError(f"masked softmax: mask {mask.shape} must be [1 or {scores.shape[0]}, {scores.shape[1]}]"
-                         f" for scores {scores.shape}")
+    if scores.ndim != 2:
+        raise ShapeError(f"masked softmax expects rank-2 scores, got {scores.shape}")
+    if mask.shape != (1, scores.shape[1]):
+        raise ShapeError(f"masked softmax: mask {mask.shape} must be [1, {scores.shape[1]}] for scores {scores.shape}")
     m = mask.data
     if not np.all((m == 0.0) | (m == _NEG_INF)):
         raise ValueError("mask entries must be exactly 0 or -inf")
     if not np.all(np.isfinite(scores.data)):
         raise NumericError("masked softmax: scores must be finite")
-    available = m == 0.0
-    dead = ~available.any(axis=1)
-    if dead.any():
-        rows = np.flatnonzero(dead).tolist()
-        raise DegenerateMaskError(f"fully masked attention row(s) {rows}: nothing to normalize over")
+    if not np.any(m == 0.0):
+        raise DegenerateMaskError("fully masked attention row: nothing to normalize over")
 
     shifted = scores.data + m
     # max over a row ignores -inf as long as one finite entry exists
@@ -469,9 +461,8 @@ def masked_softmax_rows(scores: Tensor, mask: Tensor) -> Tensor:
     out = Tensor(weights / total)
 
     def rule(g: np.ndarray) -> None:
-        if scores.needs_grad:
-            a = out.data
-            scores.accumulate(a * (g - (g * a).sum(axis=1, keepdims=True)))
+        a = out.data
+        scores.accumulate(a * (g - (g * a).sum(axis=1, keepdims=True)))
 
     return _record("masked_softmax_rows", out, (scores,), rule)
 
@@ -515,8 +506,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}") from exc
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g.reshape(x.shape))
+        x.accumulate(g.reshape(x.shape))
 
     return _record("reshape", out, (x,), rule)
 
@@ -529,8 +519,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     out = Tensor(x.data.transpose(axes))
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            x.accumulate(g.transpose(inverse))
+        x.accumulate(g.transpose(inverse))
 
     return _record("transpose", out, (x,), rule)
 
@@ -564,10 +553,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(x.data[idx])
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            buf = np.zeros_like(x.data)
-            buf[idx] = g
-            x.accumulate(buf)
+        buf = np.zeros_like(x.data)
+        buf[idx] = g
+        x.accumulate(buf)
 
     return _record("narrow", out, (x,), rule)
 
@@ -584,10 +572,9 @@ def take_rows(table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx])
 
     def rule(g: np.ndarray) -> None:
-        if table.needs_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, idx, g)
-            table.accumulate(buf)
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, idx, g)
+        table.accumulate(buf)
 
     return _record("take_rows", out, (table,), rule)
 
@@ -880,11 +867,10 @@ def interleave_phases(phases: Tensor) -> Tensor:
         voxels[...] = kept
 
     def rule(g: np.ndarray) -> None:
-        if phases.needs_grad:
-            buf = np.zeros(phases.shape)
-            for kept, voxels in _phase_windows(buf, g, extents):
-                kept[...] = voxels
-            phases.accumulate(buf)
+        buf = np.zeros(phases.shape)
+        for kept, voxels in _phase_windows(buf, g, extents):
+            kept[...] = voxels
+        phases.accumulate(buf)
 
     return _record("interleave_phases", out, (phases,), rule)
 
@@ -906,16 +892,15 @@ def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
     out = Tensor(out_data)
 
     def rule(g: np.ndarray) -> None:
-        if x.needs_grad:
-            for axis in (2, 3, 4):  # sum each block's `factor` strided slices, one axis at a time
-                idx = [slice(None)] * 5
-                idx[axis] = slice(0, None, factor)
-                acc = g[tuple(idx)].copy()
-                for i in range(1, factor):
-                    idx[axis] = slice(i, None, factor)
-                    acc += g[tuple(idx)]
-                g = acc
-            x.accumulate(g)
+        for axis in (2, 3, 4):  # sum each block's `factor` strided slices, one axis at a time
+            idx = [slice(None)] * 5
+            idx[axis] = slice(0, None, factor)
+            acc = g[tuple(idx)].copy()
+            for i in range(1, factor):
+                idx[axis] = slice(i, None, factor)
+                acc += g[tuple(idx)]
+            g = acc
+        x.accumulate(g)
 
     return _record("upsample3d_nearest", out, (x,), rule)
 
@@ -924,15 +909,13 @@ def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
 # finite-difference verification
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error between tape gradients and central differences of step 1e-5.
 
     The error at each coordinate is |analytic - numeric| / max(1, |analytic|,
-    |numeric|); the function returns the max over coordinates. ``h`` must lie
-    in [1e-6, 1e-4].
+    |numeric|); the function returns the max over coordinates.
     """
-    if not (1e-6 <= h <= 1e-4):
-        raise ValueError(f"step size h={h} outside [1e-6, 1e-4]")
+    h = 1e-5
     was_needed = x.needs_grad
     x.needs_grad = True
     x.grad = None

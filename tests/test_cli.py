@@ -1,10 +1,15 @@
 """CLI exit codes, artifacts, and output contracts.
 
 All commands run in-process through ``main(argv)`` so exit codes and stdout
-can be asserted directly. Training commands use micro configs.
+can be asserted directly, except the BLAS thread-count check, which sets the
+count in fresh processes. Training commands use micro configs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +298,20 @@ def test_removed_seg_options_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_seg_refuses_checkpoint_before_any_work(tmp_path, capsys, monkeypatch):
+    # train-seg used to ignore the key and write a freshly trained model; only sweep reads one
+    def refuse(*args, **kwargs):
+        pytest.fail("the run went past the checkpoint check")
+
+    for name in ("generate_seg_phantoms", "SegModel"):
+        monkeypatch.setattr(harness, name, refuse)
+    cfg = _write(tmp_path, "seg.cfg", MICRO_SEG + "checkpoint = /nonexistent.ckpt\n")
+    out = tmp_path / "out"
+    assert main(["train-seg", "--config", cfg, "--out", str(out)]) == 1
+    assert "config key 'checkpoint'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gradcheck_suite", lambda seed: {"matmul": 1.0})
     assert main(["gradcheck"]) == 2
@@ -450,3 +469,21 @@ def test_probe_permutation_writes_json(tmp_path, capsys):
                             "delta_ci_low", "delta_ci_high", "trials", "n_eval_samples"}
     assert payload["trials"] == 3
     assert "model" not in payload
+
+
+@pytest.mark.slow
+def test_sweep_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # at extent 32, decoder2's phase GEMM ([64 x 64] @ [64 x 5,508]) is large enough for
+    # OpenBLAS to split across threads
+    cfg = _write(tmp_path, "sweep.cfg", "steps = 20\nn_train = 4\nn_eval = 2\nseed = 5\n")
+    files = ("scenarios.csv", "scenarios.json", "loss_curve.csv", "checkpoint.ckpt")
+    src = Path(__file__).resolve().parents[1] / "src"
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "metacross.cli", "sweep", "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        payloads.append([(out / f).read_bytes() for f in files])
+    for name, one, two in zip(files, *payloads):
+        assert one == two, f"{name} differs between 1 and 2 BLAS threads"

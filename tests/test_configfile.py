@@ -85,6 +85,13 @@ def test_validate_rejects_bad_values():
         validate_config({"deep_supervision": "maybe"}, "seg")
     with pytest.raises(ConfigError, match="'encoder_channels'.*as int_list"):
         validate_config({"encoder_channels": "8, x"}, "seg")
+    # an empty entry is a typo, not a shorter list
+    for task, key, raw in (("seg", "decoder_channels", "16,,8,8"), ("seg", "encoder_channels", ", 8"),
+                           ("cls", "film_stages", "3,"), ("cls", "stage_channels", "16, 32, ,64")):
+        with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse {raw!r} as int_list"):
+            validate_config({key: raw}, task)
+    # an empty value is the empty list: film_stages = leaves the classifier image-only
+    assert validate_config({"film_stages": " "}, "cls")["film_stages"] == ()
 
 
 def test_validate_rejects_values_below_lower_bound():

@@ -17,7 +17,6 @@ from metacross.nn import (
     Linear,
     Module,
     clip_grad_norm,
-    global_grad_norm,
     optimize,
     parameter,
 )
@@ -63,13 +62,6 @@ def test_linear_matches_matrix_oracle():
     got = lin(Tensor(x))
     assert np.allclose(got.data, x @ lin.weight.data + lin.bias.data, atol=1e-15)
     assert np.all(lin.bias.data == 0.0)
-
-
-def test_linear_without_bias():
-    lin = Linear(4, 2, bias=False, rng=np.random.default_rng(6))
-    assert lin.bias is None
-    x = np.ones((1, 4))
-    assert np.allclose(lin(Tensor(x)).data, x @ lin.weight.data, atol=1e-15)
 
 
 def test_conv_modules_wrap_tensor_ops():
@@ -147,10 +139,14 @@ def test_default_models_draw_no_two_parameters_alike(model):
 
 
 def test_global_grad_norm_skips_missing_gradients():
+    # the norm clip_grad_norm returns counts no gradient for b and leaves it None
     a = Tensor(np.zeros(2), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
     a.grad = np.array([3.0, 4.0])
-    assert global_grad_norm([a, b]) == 5.0
+    assert clip_grad_norm([a, b], 10.0) == 5.0
+    assert b.grad is None and np.array_equal(a.grad, [3.0, 4.0])
+    assert clip_grad_norm([b, a], 1.0) == 5.0
+    assert b.grad is None and np.allclose(a.grad, [0.6, 0.8], atol=1e-15)
 
 
 def test_clip_grad_norm_scales_and_reports():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import metacross.harness as harness
+import metacross.segmentation as segmentation
 import metacross.tensor as T
 from metacross.errors import DegenerateMaskError, NumericError, ShapeError
 from metacross.nn import clip_grad_norm
@@ -162,17 +163,17 @@ def test_masked_softmax_rows_sum_to_one():
         if not avail.any():
             avail[int(rng.integers(m))] = True
         scores = Tensor(rng.normal(scale=4.0, size=(n, m)))
-        mask = Tensor(np.tile(np.where(avail, 0.0, -np.inf), (n, 1)))
+        mask = Tensor(np.where(avail, 0.0, -np.inf)[None])
         out = T.masked_softmax_rows(scores, mask)
         assert np.all(np.abs(out.data.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(out.data[:, ~avail] == 0.0)
-        assert np.all(out.data >= 0.0)
+        assert np.all(out.data >= 0.0) and not np.signbit(out.data).any()  # masked entries are +0.0
 
 
 def test_masked_softmax_fully_masked_row():
     scores = Tensor(np.zeros((2, 3)))
-    mask = Tensor([[0.0, -np.inf, 0.0], [-np.inf, -np.inf, -np.inf]])
-    with pytest.raises(DegenerateMaskError, match=r"row\(s\) \[1\]"):
+    mask = Tensor([[-np.inf, -np.inf, -np.inf]])
+    with pytest.raises(DegenerateMaskError, match="fully masked attention row"):
         T.masked_softmax_rows(scores, mask)
 
 
@@ -193,33 +194,18 @@ def test_masked_softmax_shape_checks():
         T.masked_softmax_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
     with pytest.raises(ShapeError):
         T.masked_softmax_rows(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-
-
-def test_masked_softmax_one_mask_row_equals_tiled_mask():
-    rng = np.random.default_rng(29)
-    scores = rng.normal(size=(3, 4))
-    g = Tensor(rng.normal(size=(3, 4)))
-    row = np.array([[0.0, -np.inf, 0.0, 0.0]])
-
-    def run(mask):
-        s = Tensor(scores.copy(), requires_grad=True)
-        with Tape() as tape:
-            out = T.masked_softmax_rows(s, Tensor(mask))
-            tape.backward(T.sum_(T.mul(out, g)))
-        return out.data, s.grad
-
-    out_row, grad_row = run(row)
-    out_tiled, grad_tiled = run(np.tile(row, (3, 1)))
-    assert np.array_equal(out_row, out_tiled) and not np.signbit(out_row[:, 1]).any()
-    assert np.array_equal(grad_row, grad_tiled)
+    # the mask is one row, broadcast over the scores: a mask per score row is refused
+    for rows in (2, 3):
+        with pytest.raises(ShapeError, match=r"must be \[1, 4\]"):
+            T.masked_softmax_rows(Tensor(np.zeros((3, 4))), Tensor(np.zeros((rows, 4))))
     with pytest.raises(ShapeError):
-        T.masked_softmax_rows(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
+        T.masked_softmax_rows(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
 
 
 def test_masked_softmax_gradient_zero_at_masked_columns():
     rng = np.random.default_rng(7)
     scores = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    mask = Tensor(np.tile([0.0, -np.inf, 0.0, -np.inf], (4, 1)))
+    mask = Tensor([[0.0, -np.inf, 0.0, -np.inf]])
     with Tape() as tape:
         out = T.masked_softmax_rows(scores, mask)
         y = T.sum_(T.mul(out, Tensor(rng.normal(size=(4, 4)))))
@@ -231,7 +217,7 @@ def test_masked_softmax_gradient_zero_at_masked_columns():
 
 def test_masked_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
-    mask = Tensor(np.tile([0.0, 0.0, -np.inf, 0.0], (5, 1)))
+    mask = Tensor([[0.0, 0.0, -np.inf, 0.0]])
     v = Tensor(rng.normal(size=(4, 3)))
     scores = Tensor(rng.normal(size=(5, 4)))
     err = grad_check(lambda s: T.sum_(T.matmul(T.masked_softmax_rows(s, mask), v)), scores)
@@ -702,6 +688,44 @@ def test_first_nonfinite_names_earliest_op():
     assert tape.first_nonfinite() == "mul"
 
 
+# the single-input ops, each on an input it accepts: their backward rules accumulate
+# without testing needs_grad, since the tape records an op only for an input that needs one
+_DATA = np.random.default_rng(3).normal(size=(2, 3))
+_ONE_MASK_ROW = Tensor([[0.0, -np.inf, 0.0]])
+SINGLE_INPUT_OPS = {
+    "scale": (lambda x: T.scale(x, 3.0), _DATA),
+    "relu": (T.relu, _DATA),
+    "gelu": (T.gelu, _DATA),
+    "exp": (T.exp, _DATA),
+    "log": (T.log, np.abs(_DATA) + 1.0),
+    "sum": (lambda x: T.sum_(x, axis=0), _DATA),
+    "log_softmax": (T.log_softmax, _DATA),
+    "masked_softmax_rows": (lambda x: T.masked_softmax_rows(x, _ONE_MASK_ROW), _DATA),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), _DATA),
+    "transpose": (lambda x: T.transpose(x, (1, 0)), _DATA),
+    "narrow": (lambda x: T.narrow(x, 1, 1, 2), _DATA),
+    "take_rows": (lambda x: T.take_rows(x, [1, 0, 1]), _DATA),
+    "interleave_phases": (T.interleave_phases, np.arange(8.0 * 2 * 3 * 3).reshape(8, 1, 2, 3, 3)),
+    "upsample3d_nearest": (lambda x: T.upsample3d_nearest(x, 2), _DATA.reshape(1, 1, 2, 3, 1)),
+    "ce_dice_gap": (lambda x: segmentation._ce_plus_dice_gap(x, np.array([0, 1, 1])), _DATA),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_INPUT_OPS))
+def test_single_input_op_records_only_for_an_input_that_needs_a_gradient(name):
+    op, data = SINGLE_INPUT_OPS[name]
+    with Tape() as tape:
+        out = op(Tensor(data))
+    assert tape.nodes == [] and not out.needs_grad
+
+    x = Tensor(data, requires_grad=True)
+    with Tape() as tape:
+        out = op(x)
+        assert [node[0] for node in tape.nodes] == [name] and out.needs_grad
+        tape.backward(T.sum_(out))
+    assert x.grad.shape == data.shape
+
+
 # ---------------------------------------------------------------------------
 # gradient handover and release
 
@@ -726,9 +750,8 @@ def test_accumulate_keeps_the_first_gradient_laid_out_like_data():
     assert u.grad.strides == u.data.strides and np.array_equal(u.grad, read_only)
 
 
-@pytest.mark.parametrize("axis, keepdims", [(None, False), (None, True), (0, False), (1, True),
-                                            ((0, 2), False), (-1, False)])
-def test_sum_hands_its_gradient_over_in_the_data_layout(monkeypatch, axis, keepdims):
+@pytest.mark.parametrize("axis", [None, 0, (0, 2), -1])
+def test_sum_hands_its_gradient_over_in_the_data_layout(monkeypatch, axis):
     data = np.random.default_rng(2).normal(size=(4, 3, 2)).transpose(2, 0, 1)  # strided
     x = Tensor(data, requires_grad=True)
     handed = []
@@ -740,13 +763,13 @@ def test_sum_hands_its_gradient_over_in_the_data_layout(monkeypatch, axis, keepd
 
     monkeypatch.setattr(Tensor, "accumulate", accumulate)
     with Tape() as tape:
-        s = T.sum_(x, axis=axis, keepdims=keepdims)
+        s = T.sum_(x, axis=axis)
         tape.backward(T.sum_(T.mul(s, Tensor(np.arange(1.0, s.size + 1).reshape(s.shape)))))
     # a read-only broadcast that accumulate fills into x's layout once
     assert not handed[-1].flags.writeable and not np.may_share_memory(x.grad, handed[-1])
     assert x.grad.strides == x.data.strides
     w = np.arange(1.0, s.size + 1).reshape(s.shape)
-    if axis is not None and not keepdims:
+    if axis is not None:
         w = np.expand_dims(w, tuple(a % 3 for a in (axis if isinstance(axis, tuple) else (axis,))))
     assert np.array_equal(x.grad, np.broadcast_to(w, x.shape))
 
@@ -835,14 +858,6 @@ def test_item_requires_scalar():
 
 # ---------------------------------------------------------------------------
 # finite-difference checker
-
-
-def test_grad_check_validates_step_size():
-    f = lambda t: T.sum_(t)
-    with pytest.raises(ValueError, match="outside"):
-        grad_check(f, Tensor([1.0]), h=1e-2)
-    with pytest.raises(ValueError, match="outside"):
-        grad_check(f, Tensor([1.0]), h=1e-8)
 
 
 def test_grad_check_requires_scalar_objective():
