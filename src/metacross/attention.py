@@ -85,7 +85,7 @@ class PatchTokenizer(Module):
 
         patch_len = self.proj.in_features
         params = self.proj.weight.size + self.proj.bias.size + self.positional.size
-        flops = linear_flops(self.n_tokens, patch_len, self.cfg.embed_dim, bias=True) + self.n_tokens * self.cfg.embed_dim
+        flops = linear_flops(self.n_tokens, patch_len, self.cfg.embed_dim) + self.n_tokens * self.cfg.embed_dim
         return [LayerCost(name, "tokenizer", params, flops)]
 
 

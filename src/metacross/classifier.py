@@ -130,8 +130,8 @@ class FilmClassifier(Module):
             if i in self.cfg.film_stages:
                 gen = self.film[str(i)]
                 params = gen.n_parameters()
-                flops = linear_flops(b, FILM_CONTEXT_DIM, FILM_HIDDEN_DIM, True) \
-                    + linear_flops(b, FILM_HIDDEN_DIM, 2 * gen.channels, True) \
+                flops = linear_flops(b, FILM_CONTEXT_DIM, FILM_HIDDEN_DIM) \
+                    + linear_flops(b, FILM_HIDDEN_DIM, 2 * gen.channels) \
                     + 4 * b * conv.out_ch * h * w  # apply: mul + two adds + broadcast copy
                 rows.append(LayerCost(f"{name}.film{i}", "film", params, flops))
         rows.extend(self.head.cost_rows((b, self.stages[-1].out_ch), name=f"{name}.head"))

@@ -30,18 +30,12 @@ class LayerCost:
     flops: int
 
 
-def linear_flops(n_positions: int, in_features: int, out_features: int, bias: bool) -> int:
-    flops = MAC_FLOPS * n_positions * in_features * out_features
-    if bias:
-        flops += n_positions * out_features
-    return flops
+def linear_flops(n_positions: int, in_features: int, out_features: int) -> int:
+    return MAC_FLOPS * n_positions * in_features * out_features + n_positions * out_features
 
 
-def conv_flops(n_positions: int, out_ch: int, in_ch: int, kernel_volume: int, bias: bool) -> int:
-    flops = MAC_FLOPS * n_positions * out_ch * in_ch * kernel_volume
-    if bias:
-        flops += n_positions * out_ch
-    return flops
+def conv_flops(n_positions: int, out_ch: int, in_ch: int, kernel_volume: int) -> int:
+    return MAC_FLOPS * n_positions * out_ch * in_ch * kernel_volume + n_positions * out_ch
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +61,7 @@ def bottleneck_tokens(input_extent: int, encoder_downsamples: int, patch_size: i
 def metadata_encoder_row(name: str, embed_dim: int, width: int) -> LayerCost:
     """The four-entry modality dictionary and its two E->D projections (keys, values)."""
     return LayerCost(name, "encoder", N_MODALITIES * embed_dim + 2 * (embed_dim * width + width),
-                     2 * linear_flops(N_MODALITIES, embed_dim, width, True))
+                     2 * linear_flops(N_MODALITIES, embed_dim, width))
 
 
 def attention_layer_rows(name: str, att: AttentionConfig, n: int, columns: int) -> list[LayerCost]:
@@ -79,7 +73,7 @@ def attention_layer_rows(name: str, att: AttentionConfig, n: int, columns: int) 
                   2 * MAC_FLOPS * n * columns * d + SOFTMAX_FLOPS_PER_ELEMENT * n * columns),
         LayerCost(f"{name}.norms", "norm", 4 * d, 2 * LN_FLOPS_PER_ELEMENT * n * d),
         LayerCost(f"{name}.ffn", "linear", d * f + f + f * d + d,
-                  linear_flops(n, d, f, True) + GELU_FLOPS_PER_ELEMENT * n * f + linear_flops(n, f, d, True)),
+                  linear_flops(n, d, f) + GELU_FLOPS_PER_ELEMENT * n * f + linear_flops(n, f, d)),
     ]
 
 
@@ -129,7 +123,7 @@ def compare_bottlenecks(att: AttentionConfig, n_tokens: int, metadata_embed_dim:
     baseline: list[LayerCost] = []
     for i in range(att.n_layers):
         baseline.append(LayerCost(f"baseline.layer{i}.qkvo_proj", "linear",
-                                  4 * (d * d + d), 4 * linear_flops(n_tokens, d, d, True)))
+                                  4 * (d * d + d), 4 * linear_flops(n_tokens, d, d)))
         baseline.extend(attention_layer_rows(f"baseline.layer{i}", att, n_tokens, n_tokens))
     return BottleneckComparison(
         ComplexityReport(baseline),

@@ -72,7 +72,7 @@ class Linear(Module):
             raise ShapeError(f"linear cost: input {input_shape} incompatible with in_features {self.in_features}")
         n = input_shape[0]
         params = self.weight.size + self.bias.size
-        return [LayerCost(name, "linear", params, linear_flops(n, self.in_features, self.out_features, bias=True))]
+        return [LayerCost(name, "linear", params, linear_flops(n, self.in_features, self.out_features))]
 
 
 class Conv(Module):
@@ -106,7 +106,7 @@ class Conv(Module):
         for extent in input_shape[2:]:
             positions *= self.output_extent(extent)
         params = self.weight.size + self.bias.size
-        flops = conv_flops(positions, self.out_ch, self.in_ch, self.kernel ** self.rank, bias=True)
+        flops = conv_flops(positions, self.out_ch, self.in_ch, self.kernel ** self.rank)
         return [LayerCost(name or f"conv{self.rank}d", "conv", params, flops)]
 
 

@@ -25,25 +25,25 @@ right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
 
 conv2d and conv3d share one kernel, ``_conv_nd``, over a plane-major padded
-input. At stride 1 it is kn2row on strided views of that input, with dX
-computed as the same routine on the output gradient with the kernel flipped.
-The shapes choose how kn2row sums the kernel offsets: when copying the shifted
-inputs into the GEMM depth writes fewer values than one product per offset, it
-stacks them and runs one GEMM per batch entry, otherwise it runs one GEMM per
-in-plane offset and adds the products (see ``_kn2row``). A 1x1 kernel at stride
-1 and padding 0 reads ``x`` as the one plane [batch, 1, in, voxels] it already
-is: forward is one ``W @ X`` per batch entry, dW is ``G X^T`` and dX is
-``W^T G``, with no padded copy. Any other stride copies its windows into one
-im2col column buffer for a single GEMM. Either way the output is one C-order
-array, [batch, out, *spatial] but for the upsample phases below.
+input, with two GEMM strategies. A conv whose stride is above 1, or whose
+stride-1 kernel offsets stack (copying them into the GEMM depth writes fewer
+values than one product per offset), gathers its windows into one im2col
+column buffer for a single GEMM. Any other stride-1 conv, and every stride-1
+dX (the same routine on the output gradient with the kernel flipped), runs
+kn2row: one GEMM per in-plane offset on strided views of the padded input,
+the products added (see ``_kn2row``). A 1x1 kernel at stride 1 and padding 0
+reads ``x`` as the one plane [batch, 1, in, voxels] it already is: forward is
+one ``W @ X`` per batch entry, dW is ``G X^T`` and dX is ``W^T G``, with no
+padded copy. Either way the output is one C-order array, [batch, out,
+*spatial] but for the upsample phases below.
 
 ``conv3d(x, w, b, padding=1, upsample_phases=True)`` is the 3x3x3 conv of the
 nearest x2 upsample of ``x`` without building the upsample, returned as its
 eight output phases. Each output phase (even or odd on each axis) reads only
 2x2x2 low-res voxels, so a constant 0/1 map pre-sums the 27 taps into eight
-phase-stacked 2x2x2 kernels, and one stride-1 kn2row runs them on ``x`` padded
+phase-stacked 2x2x2 kernels, and one stride-1 conv runs them on ``x`` padded
 by 1: 8/27 of the multiply-adds on an input 1/8 the size. The result is the
-kn2row grid as the GEMM writes it, with the phases as batch entries:
+stride-1 grid over whole padded planes, with the phases as batch entries:
 [8 * batch, out, e0 + 1, e1 + 2, e2 + 2], where phase a keeps [a, a + e) of
 each axis and the other grid points are junk. ``interleave_phases`` writes
 the kept points into voxel order and hands the junk points a zero gradient.
@@ -650,31 +650,14 @@ def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
 def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of a plane-major buffer with weight rows [out, *kernel, in].
 
-    Returns [batch, output plane, out, *padded extents of the other axes]. The
-    shapes choose how its k0 * n kernel offsets (k0 along the first axis, n in
-    the plane) are summed, by the values each way writes per output grid
-    point. Accumulating runs one GEMM per in-plane offset, batched over the
-    output planes with the k0 offsets in its depth, and adds the products
-    through one reused buffer: n * out values, each re-read to be added.
-    K-stacking copies the k0 * n shifted in-row volumes into one
-    [batch, k0 * n * in, grid] buffer and runs one GEMM per batch entry:
-    k0 * n * in + out values, the result returned as a view of its
-    [batch, out, output plane, ...] layout. So the offsets are stacked when
-    k0 * n * in < (n - 1) * out, and a single offset (a 1x1 kernel) never is.
+    Returns [batch, output plane, out, *padded extents of the other axes]: one
+    GEMM per in-plane offset, batched over the output planes with the k0
+    offsets along the first axis in its depth, the products added through one
+    reused buffer.
     """
-    out, k0, ch = rows.shape[0], rows.shape[1], layout[2]
-    n = math.prod(rows.shape[2:-1])
-    if k0 * n * ch < (n - 1) * out:
-        batch, planes, plane = layout[0], layout[1] - k0 + 1, math.prod(layout[3:])
-        stacked = np.empty((batch, k0, n, ch, planes, plane))
-        for i, (_, view) in enumerate(_runs(xp, layout, (1,) + rows.shape[2:-1])):
-            for d in range(k0):
-                stacked[:, d, i] = view[:, d:d + planes].swapaxes(1, 2)
-        acc = np.matmul(rows.reshape(out, -1), stacked.reshape(batch, -1, planes * plane))
-        return acc.reshape((batch, out, planes) + layout[3:]).swapaxes(1, 2)
     acc = part = None
     for off, view in _runs(xp, layout, rows.shape[1:-1]):
-        w = rows[(slice(None), slice(None)) + off].reshape(out, -1)
+        w = rows[(slice(None), slice(None)) + off].reshape(rows.shape[0], -1)
         if acc is None:
             acc = np.matmul(w, view)
         else:
@@ -737,14 +720,16 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
 
     # Every conv reads the padded input laid out flat as [batch, first axis, ch,
     # *other axes] and weight rows [out', *kernel', in], and writes one C-order
-    # output. Stride 1 runs GEMMs on views of the input over whole padded
-    # planes (see _runs) and keeps the output's region of their grid. The
+    # output. It gathers its windows into one column buffer for one GEMM when
+    # its stride is above 1, or when copying the k0 * n offsets (k0 along the
+    # first axis, n in the plane) into the GEMM depth writes fewer values per
+    # grid point than kn2row's n products: k0 * n * in + out' < n * out'. Any
+    # other conv runs kn2row (see _kn2row). At stride 1 both compute the grid
+    # over whole padded planes, and the output's region of it is kept. The
     # upsample phases run the 2x2x2 phase-stacked rows on x padded by 1 and
     # keep the whole grid, its phases as batch entries (see interleave_phases).
     # A 1x1 kernel at stride 1 and padding 0 reads x as the one plane
-    # [batch, 1, in, voxels] it already is, and its kn2row result is the
-    # output. Any other stride copies its windows into one column buffer for
-    # one GEMM.
+    # [batch, 1, in, voxels] it already is, and its kn2row result is the output.
     origin = (0,) * nd
     pointwise = stride == 1 and padding == 0 and kernel == (1,) * nd
     if upsample_phases:
@@ -763,29 +748,28 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
 
     xp, layout = padded(x.data, in_ch, pads)
     b = (np.zeros(out_ch) if bias is None else bias.data).reshape((out_ch,) + (1,) * nd)
+    grid = out_spatial if stride > 1 else (layout[1] - kernel[0] + 1,) + layout[3:]
     steps = (math.prod(layout[2:]),) + tuple(math.prod(layout[a + 3:]) for a in range(1, nd))
     strides = tuple(8 * s for s in steps + (math.prod(layout[3:]), math.prod(layout[1:])) + tuple(stride * s for s in steps))
 
-    def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *out_spatial]
-        return np.ndarray(kernel + (in_ch, batch) + out_spatial, buffer=buf, strides=strides)
+    def windows(buf: np.ndarray) -> np.ndarray:  # [*kernel, in, batch, *grid]
+        return np.ndarray(kernel + (in_ch, batch) + grid, buffer=buf, strides=strides)
 
-    if pointwise:
-        out_data = _kn2row(xp, layout, rows).reshape(out_shape)
-        out_data += b
-    elif upsample_phases:  # the GEMM writes the phases as channel blocks, [batch, 8 * out, planes, ...]
-        out_data = np.ascontiguousarray(_kn2row(xp, layout, rows).swapaxes(1, 2)).reshape(out_shape)
+    n = math.prod(kernel[1:])
+    if stride > 1 or kernel[0] * n * in_ch < (n - 1) * rows.shape[0]:
+        res = rows.reshape(rows.shape[0], -1) @ windows(xp).reshape(rows[0].size, -1)
+        res = res.reshape(rows.shape[:1] + (batch,) + grid).swapaxes(0, 1)
+    else:
+        res = _kn2row(xp, layout, rows).swapaxes(1, 2)
+    if pointwise or upsample_phases:  # res [batch, out', ...] is the output, phase channel blocks as batch entries
+        out_data = np.ascontiguousarray(res).reshape(out_shape)
         if bias is not None:
             out_data += b
-    elif stride == 1:
-        out_data = np.empty(out_shape)
-        np.add(_interior(_kn2row(xp, layout, rows), origin, out_spatial), b, out=out_data)
     else:
         out_data = np.empty(out_shape)
-        res = rows.reshape(out_ch, -1) @ windows(xp).reshape(rows[0].size, -1)
-        np.add(res.reshape((out_ch, batch) + out_spatial).swapaxes(0, 1), b, out=out_data)
-        del res
+        np.add(res[(Ellipsis,) + tuple(slice(e) for e in out_spatial)], b, out=out_data)
     buf_size = xp.size
-    del xp
+    del xp, res
     out = Tensor(out_data)
 
     def rule(g: np.ndarray) -> None:  # rebuilds the padded input: the tape keeps no buffer

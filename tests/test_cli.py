@@ -471,19 +471,31 @@ def test_probe_permutation_writes_json(tmp_path, capsys):
     assert "model" not in payload
 
 
-@pytest.mark.slow
-def test_sweep_outputs_do_not_depend_on_blas_thread_count(tmp_path):
-    # at extent 32, decoder2's phase GEMM ([64 x 64] @ [64 x 5,508]) is large enough for
-    # OpenBLAS to split across threads
-    cfg = _write(tmp_path, "sweep.cfg", "steps = 20\nn_train = 4\nn_eval = 2\nseed = 5\n")
-    files = ("scenarios.csv", "scenarios.json", "loss_curve.csv", "checkpoint.ckpt")
+def _assert_same_at_one_and_two_blas_threads(tmp_path, command, cfg, files):
+    """Run ``command`` in a subprocess at 1 and at 2 BLAS threads; ``files`` must be byte-identical."""
     src = Path(__file__).resolve().parents[1] / "src"
     payloads = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "metacross.cli", "sweep", "--config", cfg, "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "metacross.cli", command, "--config", cfg, "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         payloads.append([(out / f).read_bytes() for f in files])
     for name, one, two in zip(files, *payloads):
         assert one == two, f"{name} differs between 1 and 2 BLAS threads"
+
+
+@pytest.mark.slow
+def test_sweep_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # at extent 32, decoder2's phase GEMM ([64 x 64] @ [64 x 5,508]) is large enough for
+    # OpenBLAS to split across threads
+    cfg = _write(tmp_path, "sweep.cfg", "steps = 20\nn_train = 4\nn_eval = 2\nseed = 5\n")
+    _assert_same_at_one_and_two_blas_threads(
+        tmp_path, "sweep", cfg, ("scenarios.csv", "scenarios.json", "loss_curve.csv", "checkpoint.ckpt"))
+
+
+@pytest.mark.slow
+def test_probe_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # the default classifier geometry: its strided conv GEMMs and the probe's one-forward evaluation
+    cfg = _write(tmp_path, "cls.cfg", "steps = 40\nn_train = 8\nn_eval = 8\ntrials = 3\nseed = 5\n")
+    _assert_same_at_one_and_two_blas_threads(tmp_path, "probe-permutation", cfg, ("probe.json", "checkpoint.ckpt"))

@@ -37,10 +37,8 @@ def test_counting_constants():
 
 
 def test_linear_and_conv_flops_closed_forms():
-    assert linear_flops(10, 4, 8, bias=True) == 2 * 10 * 4 * 8 + 10 * 8
-    assert linear_flops(10, 4, 8, bias=False) == 2 * 10 * 4 * 8
-    assert conv_flops(100, 16, 3, 27, bias=True) == 2 * 100 * 16 * 3 * 27 + 100 * 16
-    assert conv_flops(100, 16, 3, 27, bias=False) == 2 * 100 * 16 * 3 * 27
+    assert linear_flops(10, 4, 8) == 2 * 10 * 4 * 8 + 10 * 8
+    assert conv_flops(100, 16, 3, 27) == 2 * 100 * 16 * 3 * 27 + 100 * 16
 
 
 def _n_params(module) -> int:
@@ -51,13 +49,13 @@ def test_count_params_and_flops_on_layers():
     lin = Linear(32, 64, rng=np.random.default_rng(0))
     rows = lin.cost_rows((10, 32))
     assert sum(r.params for r in rows) == _n_params(lin) == 32 * 64 + 64
-    assert sum(r.flops for r in rows) == linear_flops(10, 32, 64, bias=True)
+    assert sum(r.flops for r in rows) == linear_flops(10, 32, 64)
 
     conv = Conv(2, 3, 8, kernel=3, stride=2, padding=1, rng=np.random.default_rng(1))
     rows = conv.cost_rows((2, 3, 16, 16))
     assert sum(r.params for r in rows) == _n_params(conv) == 8 * 3 * 9 + 8
     # 16x16 input halves to 8x8: 64 output positions per batch item
-    assert sum(r.flops for r in rows) == conv_flops(2 * 64, 8, 3, 9, bias=True)
+    assert sum(r.flops for r in rows) == conv_flops(2 * 64, 8, 3, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,35 @@ def test_default_train_step_keeps_every_handed_over_gradient(monkeypatch):
     assert all(math.prod(shape) == 1 for shape in copied), copied
 
 
+def test_default_phase_convs_gather_and_the_rest_run_kn2row(monkeypatch):
+    # at the default widths every decoder phase conv's offsets stack, so its forward
+    # gathers its windows for one GEMM; the skip stage's stem half and the 1x1 heads
+    # do not, so they run kn2row, as every stride-1 dX does
+    model = SegModel(SegConfig(), rng=np.random.default_rng(18))
+    cfg = model.cfg
+    batch = _batch(cfg, seed=19)
+    seen = []
+    kn2row = T._kn2row
+
+    def recording(xp, layout, rows):
+        seen.append(rows.shape)
+        return kn2row(xp, layout, rows)
+
+    monkeypatch.setattr(T, "_kn2row", recording)
+    enc, classes = cfg.encoder_channels[-1], cfg.n_seg_classes
+    phase_in = [cfg.attention.embed_dim] + list(cfg.decoder_channels[:-1])
+    phase_rows = {(8 * c, 2, 2, 2, i) for c, i in zip(cfg.decoder_channels, phase_in)}
+    stem_half = (cfg.decoder_channels[cfg.skip_stage], 3, 3, 3, enc)
+    heads = {(classes, 1, 1, 1, c) for c in cfg.decoder_channels}
+    train_step(model, batch, Adam(), total_epochs=2)
+    assert not phase_rows & set(seen), seen
+    assert {stem_half} | heads <= set(seen), seen
+    seen.clear()
+    predict_labels(model, batch)
+    assert not phase_rows & set(seen), seen
+    assert {stem_half, (classes, 1, 1, 1, cfg.decoder_channels[-1])} <= set(seen), seen
+
+
 def test_train_step_raises_on_poisoned_parameters():
     cfg = _tiny_cfg()
     model = SegModel(cfg, rng=np.random.default_rng(12))

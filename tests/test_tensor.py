@@ -397,9 +397,10 @@ def test_conv3d_matches_bruteforce():
 # non-cubic kernels, and stride-1 paddings of at least the kernel size, whose
 # dX crops the output gradient instead of padding it. Then the 1x1 padding-0
 # convs, which read x as it is, with out > in and out < in, one of them on a
-# non-contiguous x given as (shape drawn, view taken); and two 3x3x3 whose
-# rows outnumber their channels enough that kn2row stacks the kernel offsets
-# (see _kn2row), in the forward (7 rows on 2 channels) and in dX (7 on 2)
+# non-contiguous x given as (shape drawn, view taken); and two 3x3x3: 7 rows
+# on 2 channels, whose stride-1 forward gathers its windows for one GEMM (see
+# _conv_nd), and its transpose, whose dX reads 7 rows on 2 channels and runs
+# kn2row, as every stride-1 dX does
 CONV_GEOMETRIES = [
     ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1),
     ((2, 3, 9, 4, 5), (4, 3, 3, 2, 3), 1, 0),
@@ -460,9 +461,9 @@ def _conv_grads(x, w, b, g, conv):
 
 
 # (batch, in, out, low-res extents): the segmentation decoder's stage-0 and
-# stage-2 geometries at the default config, whose forwards stack the phase
-# rows' offsets (see _kn2row), a small non-cubic one, and one with
-# 8 * out <= in, whose forward sums its phase rows' offsets one at a time
+# stage-2 geometries at the default config, whose forwards gather their
+# windows for one GEMM (see _conv_nd), a small non-cubic one, and one with
+# 8 * out <= in, whose forward runs kn2row
 UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4)), (2, 20, 2, (3, 4, 3))]
 
 
@@ -489,7 +490,7 @@ def test_conv3d_upsample_matches_upsample_then_conv(batch, cin, cout, extents, w
 
 
 @pytest.mark.parametrize("batch, cin, cout, extents", [UPSAMPLE_GEOMETRIES[2], UPSAMPLE_GEOMETRIES[3]],
-                         ids=["stacking", "accumulating"])
+                         ids=["gather", "kn2row"])
 def test_upsample_phase_and_interleave_ops_gradcheck(batch, cin, cout, extents):
     # each op alone, under a random weighting of every output point; the phase
     # op's junk points are outputs too, so their weights reach x, w and b. Both
@@ -537,6 +538,7 @@ def test_interleave_gives_junk_points_exactly_zero_gradient():
     ((2, 3, 3, 5, 4), (2, 3, 3, 3, 3), 1, 1, 2),
     ((2, 3, 7, 9), (4, 3, 3, 3), 1, 1, 1),
     ((2, 3, 15, 8), (5, 3, 3, 2), 2, 0, 1),
+    ((2, 2, 5, 6, 4), (7, 2, 3, 3, 3), 1, 1, 1),
 ])
 def test_conv_writes_one_c_order_output(x_shape, w_shape, stride, padding, upsample):
     # small integers: every sum is exact in float64, so any kernel must match bitwise
