@@ -53,8 +53,8 @@ def bottleneck_tokens(input_extent: int, encoder_downsamples: int, patch_size: i
     # a 2^k above the extent cannot divide it, so a huge k is refused before 2^k is built
     down = (2 ** encoder_downsamples) * patch_size if encoder_downsamples < input_extent.bit_length() else 0
     if not down or input_extent % down:
-        raise ShapeError(f"input extent {input_extent} not divisible by downsample "
-                         f"2^{encoder_downsamples} x patch {patch_size}")
+        raise ShapeError(f"config keys 'input_extent', 'encoder_downsamples', 'patch_size': input extent "
+                         f"{input_extent} not divisible by downsample 2^{encoder_downsamples} x patch {patch_size}")
     return (input_extent // down) ** 3
 
 

@@ -60,7 +60,8 @@ class SegConfig:
             raise ConfigError(f"patch_size {p} must be a power of two, as the total downsample factor must be")
         down = self.total_downsample
         if self.extent % down:
-            raise ConfigError(f"extent {self.extent} not divisible by total downsample {down}")
+            raise ConfigError(f"config keys 'extent', 'encoder_channels', 'patch_size': "
+                              f"extent {self.extent} not divisible by total downsample {down}")
         needed = down.bit_length() - 1
         if len(self.decoder_channels) != needed:
             raise ConfigError(
@@ -363,7 +364,8 @@ def save_checkpoint(model: Module, path) -> None:
 
 def load_checkpoint(model: Module, path) -> None:
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     view = memoryview(blob)

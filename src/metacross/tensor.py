@@ -25,15 +25,18 @@ right and a size-1 extent stretches. Gradients of broadcast operands are
 summed back down to the operand's shape.
 
 conv2d and conv3d share one kernel, ``_conv_nd``, over a plane-major padded
-input, with two GEMM strategies. A conv whose stride is above 1, or whose
-stride-1 kernel offsets stack (copying them into the GEMM depth writes fewer
-values than one product per offset), gathers its windows into one im2col
-column buffer for a single GEMM. Any other stride-1 conv, and every stride-1
-dX (the same routine on the output gradient with the kernel flipped), runs
-kn2row: one GEMM per in-plane offset on strided views of the padded input,
-the products added (see ``_kn2row``). A 1x1 kernel at stride 1 and padding 0
-reads ``x`` as the one plane [batch, 1, in, voxels] it already is: forward is
-one ``W @ X`` per batch entry, dW is ``G X^T`` and dX is ``W^T G``, with no
+input, with two GEMM lowerings, each with its own adjoint. A conv whose stride
+is above 1, or whose stride-1 kernel offsets stack (copying them into the GEMM
+depth writes fewer values than one product per offset), gathers its windows
+into one im2col column buffer S for the GEMM ``W S``; dW is ``G S^T`` on S
+rebuilt, and dX is ``W^T G`` added back through the windows. At stride 1 the
+windows span whole padded planes and G is zero outside the output, and dW
+runs one GEMM per padded plane, summed in place: one GEMM over the whole grid
+gives bits that depend on the BLAS thread count. Any other conv runs kn2row:
+one GEMM per in-plane offset on strided views of the padded input, the
+products added (see ``_kn2row``); dW sums G times each offset's view, and dX
+is kn2row on G with the kernel flipped. A 1x1 kernel at stride 1 and padding
+0 reads ``x`` as the one plane [batch, 1, in, voxels] it already is, with no
 padded copy. Either way the output is one C-order array, [batch, out,
 *spatial] but for the upsample phases below.
 
@@ -50,9 +53,9 @@ the kept points into voxel order and hands the junk points a zero gradient.
 Pointwise work (bias, ReLU, a 1x1 conv) can run on the phases before the
 interleave, so the model interleaves its last stage after the head, on the
 logit channels only. Summing taps before the multiply, and summing the
-offsets in one GEMM, move results in the last ulps. The backward pass lays
-the phases' gradient out plane-major as the kn2row output, folds the phase
-kernels' gradient back through the map, and runs dX on that same buffer.
+offsets in one GEMM, move results in the last ulps. The backward takes the
+phases back into the channel axis and folds the phase kernels' gradient back
+through the map.
 
 ``gelu`` is the exact GELU, and its ``erf`` is ``_erf``: scipy's algorithm
 (cephes ``ndtr.c``) in numpy, so the runtime needs numpy alone and the values
@@ -614,21 +617,9 @@ def _plane_major(src: np.ndarray, pads: Sequence[int], kernel: Sequence[int]) ->
     batch, ch, *extents = src.shape
     padded = [e + 2 * p for e, p in zip(extents, pads)]
     layout = (batch, padded[0], ch, *padded[1:])
-    buf = _plane_zeros(layout, kernel)
+    buf = np.zeros(math.prod(layout) + sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a))
     _interior(buf[:math.prod(layout)].reshape(layout), pads, extents)[...] = src
     return buf, layout
-
-
-def _plane_zeros(layout: tuple[int, ...], kernel: Sequence[int], body: bool = True) -> np.ndarray:
-    """A flat buffer for a plane-major ``layout``, with the zeroed tail that
-    ``kernel`` offsets read past the last plane; ``body`` zeroes the layout too."""
-    padded = (layout[1],) + layout[3:]
-    tail = sum((k - 1) * math.prod(padded[a + 1:]) for a, k in enumerate(kernel) if a)
-    if body:
-        return np.zeros(math.prod(layout) + tail)
-    buf = np.empty(math.prod(layout) + tail)
-    buf[math.prod(layout):] = 0.0
-    return buf
 
 
 def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
@@ -647,22 +638,25 @@ def _runs(xp: np.ndarray, layout: tuple[int, ...], kernel: tuple[int, ...]):
         yield off, np.ndarray(shape, buffer=xp, offset=xp.itemsize * shift, strides=strides)
 
 
+def _gemm_sum(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The sum of ``a @ b`` over the pairs, added in order through one reused product buffer."""
+    pairs = iter(pairs)
+    acc, part = np.matmul(*next(pairs)), None
+    for a, b in pairs:
+        part = np.matmul(a, b, out=part)
+        acc += part
+    return acc
+
+
 def _kn2row(xp: np.ndarray, layout: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of a plane-major buffer with weight rows [out, *kernel, in].
 
     Returns [batch, output plane, out, *padded extents of the other axes]: one
     GEMM per in-plane offset, batched over the output planes with the k0
-    offsets along the first axis in its depth, the products added through one
-    reused buffer.
+    offsets along the first axis in its depth, the products summed.
     """
-    acc = part = None
-    for off, view in _runs(xp, layout, rows.shape[1:-1]):
-        w = rows[(slice(None), slice(None)) + off].reshape(rows.shape[0], -1)
-        if acc is None:
-            acc = np.matmul(w, view)
-        else:
-            part = np.matmul(w, view, out=part)
-            acc += part
+    acc = _gemm_sum((rows[(slice(None), slice(None)) + off].reshape(rows.shape[0], -1), view)
+                    for off, view in _runs(xp, layout, rows.shape[1:-1]))
     return acc.reshape(acc.shape[:3] + layout[3:])
 
 
@@ -724,13 +718,13 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     # its stride is above 1, or when copying the k0 * n offsets (k0 along the
     # first axis, n in the plane) into the GEMM depth writes fewer values per
     # grid point than kn2row's n products: k0 * n * in + out' < n * out'. Any
-    # other conv runs kn2row (see _kn2row). At stride 1 both compute the grid
-    # over whole padded planes, and the output's region of it is kept. The
-    # upsample phases run the 2x2x2 phase-stacked rows on x padded by 1 and
-    # keep the whole grid, its phases as batch entries (see interleave_phases).
-    # A 1x1 kernel at stride 1 and padding 0 reads x as the one plane
-    # [batch, 1, in, voxels] it already is, and its kn2row result is the output.
-    origin = (0,) * nd
+    # other conv runs kn2row (see _kn2row), and the backward differentiates
+    # the same lowering. At stride 1 both compute the grid over whole padded
+    # planes, and the output's region of it is kept. The upsample phases run
+    # the 2x2x2 phase-stacked rows on x padded by 1 and keep the whole grid,
+    # its phases as batch entries (see interleave_phases). A 1x1 kernel at
+    # stride 1 and padding 0 reads x as the one plane [batch, 1, in, voxels]
+    # it already is, and its kn2row result is the output.
     pointwise = stride == 1 and padding == 0 and kernel == (1,) * nd
     if upsample_phases:
         rows, kernel, pads = _phase_rows(weight.data), (2,) * nd, (1,) * nd
@@ -756,7 +750,8 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
         return np.ndarray(kernel + (in_ch, batch) + grid, buffer=buf, strides=strides)
 
     n = math.prod(kernel[1:])
-    if stride > 1 or kernel[0] * n * in_ch < (n - 1) * rows.shape[0]:
+    gather = stride > 1 or kernel[0] * n * in_ch < (n - 1) * rows.shape[0]
+    if gather:
         res = rows.reshape(rows.shape[0], -1) @ windows(xp).reshape(rows[0].size, -1)
         res = res.reshape(rows.shape[:1] + (batch,) + grid).swapaxes(0, 1)
     else:
@@ -775,43 +770,45 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     def rule(g: np.ndarray) -> None:  # rebuilds the padded input: the tape keeps no buffer
         if bias is not None and bias.needs_grad:
             bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
+        g = g.reshape((batch, rows.shape[0]) + g.shape[2:])  # the phases back in the channel axis
         xp = padded(x.data, in_ch, pads)[0] if weight.needs_grad else None
-        if stride == 1:
-            glayout = (batch, layout[1] - kernel[0] + 1, rows.shape[0]) + layout[3:]
-            if pointwise:  # g already is the kn2row output, with no junk points
-                gbuf = padded(g, out_ch, pads)[0]
-            elif upsample_phases:  # g is the whole kn2row grid: its phases go back into the channel axis
-                gbuf = _plane_zeros(glayout, kernel, body=False)
-                gl = gbuf[:math.prod(glayout)].reshape((batch, glayout[1], 8, out_ch) + glayout[3:])
-                gl[...] = g.reshape((batch, 8) + g.shape[1:]).transpose(0, 3, 1, 2, 4, 5)
-            elif xp is not None:  # g laid out as the kn2row output; junk points get zero gradient
-                gbuf = _plane_zeros(glayout, kernel)
-                _interior(gbuf[:math.prod(glayout)].reshape(glayout), origin, out_spatial)[...] = g
-            if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T
-                gl = gbuf[:math.prod(glayout)].reshape(glayout[:3] + (-1,))
-                drows = np.empty_like(rows)
-                for off, view in _runs(xp, layout, kernel):
-                    d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
-                    drows[(slice(None), slice(None)) + off] = d.reshape(rows.shape[0], kernel[0], in_ch)
-                del gl, view, xp
+        if gather:  # the column GEMM's adjoint on the same windows, over the whole grid
+            if grid != out_spatial:  # a stride-1 grid's junk points get zero gradient
+                g = np.pad(g, [(0, 0)] * 2 + [(0, a - e) for a, e in zip(grid, out_spatial)])
+            gs = g.swapaxes(0, 1).reshape(rows.shape[0], -1)
+            if xp is not None:  # dW = G S^T, at stride 1 one GEMM per padded plane (see the module docstring)
+                cols = windows(xp).reshape(rows[0].size, -1)
+                del xp
+                span = math.prod(grid[1:]) if stride == 1 else cols.shape[1]
+                drows = _gemm_sum((gs[:, s:s + span], cols[:, s:s + span].T) for s in range(0, cols.shape[1], span))
+                del cols
+                drows = drows.reshape(rows.shape)
                 weight.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
-            if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
-                flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
-                if not upsample_phases:  # the phases pad x by k - 1, so their dX reads the gradient buffer unpadded
-                    gbuf, glayout = padded(g, out_ch, tuple(k - 1 - padding for k in kernel))
-                dx = _kn2row(gbuf, glayout, flipped)
-                x.accumulate(dx.reshape(x.shape) if pointwise else _interior(dx, origin, spatial))
+            if x.needs_grad:  # the columns' gradient adds back into the windows it was read from
+                dcols = (rows.reshape(rows.shape[0], -1).T @ gs).reshape(kernel + (in_ch, batch) + grid)
+                dxp = np.zeros(buf_size)
+                dv = windows(dxp)
+                for k in np.ndindex(*kernel):
+                    np.add(dv[k], dcols[k], out=dv[k])
+                x.accumulate(_interior(dxp[:math.prod(layout)].reshape(layout), pads, spatial))
             return
-        gs = g.swapaxes(0, 1).reshape(out_ch, -1)
-        if xp is not None:
-            weight.accumulate(np.moveaxis((gs @ windows(xp).reshape(rows[0].size, -1).T).reshape(rows.shape), -1, 1))
-        if x.needs_grad:  # the columns' gradient adds back into the windows it was read from
-            dcols = (rows.reshape(out_ch, -1).T @ gs).reshape(kernel + (in_ch, batch) + out_spatial)
-            dxp = np.zeros(buf_size)
-            dv = windows(dxp)
-            for k in np.ndindex(*kernel):
-                np.add(dv[k], dcols[k], out=dv[k])
-            x.accumulate(_interior(dxp[:math.prod(layout)].reshape(layout), pads, spatial))
+        if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T, G laid out as the kn2row output
+            if pointwise:  # g already is the kn2row output, with no junk points
+                gl = g.reshape(batch, 1, out_ch, -1)
+            else:
+                gl = np.zeros((batch, grid[0], rows.shape[0]) + layout[3:])
+                _interior(gl, (0,) * nd, out_spatial)[...] = g
+                gl = gl.reshape(gl.shape[:3] + (-1,))
+            drows = np.empty_like(rows)
+            for off, view in _runs(xp, layout, kernel):
+                d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
+                drows[(slice(None), slice(None)) + off] = d.reshape(rows.shape[0], kernel[0], in_ch)
+            del gl, view, xp
+            weight.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
+        if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
+            flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
+            dx = _kn2row(*padded(g, rows.shape[0], tuple(k - 1 - padding for k in kernel)), flipped)
+            x.accumulate(dx.reshape(x.shape) if pointwise else _interior(dx, (0,) * nd, spatial))
 
     return _record(name, out, (x, weight) if bias is None else (x, weight, bias), rule)
 

@@ -255,6 +255,8 @@ def test_unusable_out_names_key_before_any_work(tmp_path, capsys, monkeypatch, c
 
 @pytest.mark.parametrize("command, line, key", [
     ("train-seg", "encoder_channels = 4, 4", "decoder_channels"),
+    ("train-seg", "encoder_channels = 4, 4, 4",
+     "config keys 'extent', 'encoder_channels', 'patch_size': extent 8 not divisible by total downsample 16"),
     ("train-cls", "film_stages = 0", "film_stages"),
     ("train-seg", "encoder_channels = ", "encoder_channels"),
     ("train-seg", "decoder_channels = ", "decoder_channels"),
@@ -367,7 +369,8 @@ def test_complexity_token_count_errors_exit_one(tmp_path, capsys):
     for line in ("input_extent = 60", "encoder_downsamples = 99999999999999999999"):
         cfg = _write(tmp_path, "cx.cfg", line + "\n")
         assert main(["complexity", "--config", cfg, "--out", str(tmp_path / "cx")]) == 1
-        assert "not divisible by downsample" in capsys.readouterr().err
+        assert ("error: config keys 'input_extent', 'encoder_downsamples', 'patch_size': input extent "
+                in capsys.readouterr().err)
     assert not (tmp_path / "cx").exists()
 
 
@@ -488,7 +491,8 @@ def _assert_same_at_one_and_two_blas_threads(tmp_path, command, cfg, files):
 @pytest.mark.slow
 def test_sweep_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     # at extent 32, decoder2's phase GEMM ([64 x 64] @ [64 x 5,508]) is large enough for
-    # OpenBLAS to split across threads
+    # OpenBLAS to split across threads; its dW runs one GEMM per padded plane (K = 324),
+    # as one GEMM over the whole grid (K = 5,508) wrote a checkpoint that differed here
     cfg = _write(tmp_path, "sweep.cfg", "steps = 20\nn_train = 4\nn_eval = 2\nseed = 5\n")
     _assert_same_at_one_and_two_blas_threads(
         tmp_path, "sweep", cfg, ("scenarios.csv", "scenarios.json", "loss_curve.csv", "checkpoint.ckpt"))

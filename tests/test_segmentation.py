@@ -604,28 +604,37 @@ def test_default_train_step_keeps_every_handed_over_gradient(monkeypatch):
 
 
 def test_default_phase_convs_gather_and_the_rest_run_kn2row(monkeypatch):
-    # at the default widths every decoder phase conv's offsets stack, so its forward
-    # gathers its windows for one GEMM; the skip stage's stem half and the 1x1 heads
-    # do not, so they run kn2row, as every stride-1 dX does
+    # at the default widths every decoder phase conv's offsets stack, so it
+    # gathers its windows for one GEMM and differentiates through the same
+    # windows: neither kn2row nor its offset runs see its 2x2x2 phase rows,
+    # forward or flipped for dX; the skip stage's stem half and the 1x1 heads
+    # do not stack, so they run kn2row forward and backward
     model = SegModel(SegConfig(), rng=np.random.default_rng(18))
     cfg = model.cfg
     batch = _batch(cfg, seed=19)
-    seen = []
-    kn2row = T._kn2row
+    seen, kernels = [], []
+    kn2row, runs = T._kn2row, T._runs
 
     def recording(xp, layout, rows):
         seen.append(rows.shape)
         return kn2row(xp, layout, rows)
 
+    def recording_runs(xp, layout, kernel):
+        kernels.append(tuple(kernel))
+        return runs(xp, layout, kernel)
+
     monkeypatch.setattr(T, "_kn2row", recording)
+    monkeypatch.setattr(T, "_runs", recording_runs)
     enc, classes = cfg.encoder_channels[-1], cfg.n_seg_classes
     phase_in = [cfg.attention.embed_dim] + list(cfg.decoder_channels[:-1])
     phase_rows = {(8 * c, 2, 2, 2, i) for c, i in zip(cfg.decoder_channels, phase_in)}
+    phase_rows |= {(i, 2, 2, 2, 8 * c) for c, i in zip(cfg.decoder_channels, phase_in)}
     stem_half = (cfg.decoder_channels[cfg.skip_stage], 3, 3, 3, enc)
     heads = {(classes, 1, 1, 1, c) for c in cfg.decoder_channels}
     train_step(model, batch, Adam(), total_epochs=2)
     assert not phase_rows & set(seen), seen
     assert {stem_half} | heads <= set(seen), seen
+    assert (2, 2, 2) not in kernels and {(3, 3, 3), (1, 1, 1)} <= set(kernels), kernels
     seen.clear()
     predict_labels(model, batch)
     assert not phase_rows & set(seen), seen

@@ -398,9 +398,10 @@ def test_conv3d_matches_bruteforce():
 # dX crops the output gradient instead of padding it. Then the 1x1 padding-0
 # convs, which read x as it is, with out > in and out < in, one of them on a
 # non-contiguous x given as (shape drawn, view taken); and two 3x3x3: 7 rows
-# on 2 channels, whose stride-1 forward gathers its windows for one GEMM (see
-# _conv_nd), and its transpose, whose dX reads 7 rows on 2 channels and runs
-# kn2row, as every stride-1 dX does
+# on 2 channels, whose stride-1 conv gathers its windows for one GEMM (see
+# _conv_nd) and differentiates through the same windows, its gradient over
+# the whole-plane grid with zeros at the junk points, and 2 rows on 7
+# channels, which runs kn2row forward and backward
 CONV_GEOMETRIES = [
     ((2, 3, 7, 5, 6), (4, 3, 3, 3, 3), 1, 1),
     ((2, 3, 9, 4, 5), (4, 3, 3, 2, 3), 1, 0),
@@ -461,9 +462,9 @@ def _conv_grads(x, w, b, g, conv):
 
 
 # (batch, in, out, low-res extents): the segmentation decoder's stage-0 and
-# stage-2 geometries at the default config, whose forwards gather their
-# windows for one GEMM (see _conv_nd), a small non-cubic one, and one with
-# 8 * out <= in, whose forward runs kn2row
+# stage-2 geometries at the default config, which gather their windows for
+# one GEMM and differentiate through them (see _conv_nd), a small non-cubic
+# one, and one with 8 * out <= in, which runs kn2row forward and backward
 UPSAMPLE_GEOMETRIES = [(2, 32, 16, (4, 4, 4)), (2, 8, 8, (16, 16, 16)), (2, 3, 2, (3, 5, 4)), (2, 20, 2, (3, 4, 3))]
 
 
@@ -612,6 +613,26 @@ def test_pointwise_conv_forward_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= out.data.nbytes + 64 * 1024, f"peak {peak} bytes for a {out.data.nbytes}-byte output"
+
+
+def test_gathering_phase_conv_backward_memory_is_bounded():
+    # 64 -> 64 channels gather, so the backward rebuilds the column buffer,
+    # adds dW's per-plane GEMMs into one product buffer and frees the columns
+    # before dX; the peak counts the seed gradient of ones as well
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((1, 64, 8, 8, 8)), requires_grad=True)
+    w = Tensor(rng.standard_normal((64, 64, 3, 3, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = T.conv3d(x, w, padding=1, upsample_phases=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.backward(y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak <= 4 * y.data.nbytes, f"peak {peak / y.data.nbytes:.2f}x the {y.data.nbytes}-byte phase output"
 
 
 def test_upsample3d_nearest_values():
