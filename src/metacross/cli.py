@@ -124,14 +124,14 @@ def _cmd_probe(values: dict) -> int:
     return 0
 
 
-# command -> (config task, runner, whether it writes into ``out``)
+# command -> (config task, runner); a task whose schema has ``out`` writes into it
 _COMMANDS = {
-    "train-seg": ("seg", partial(_cmd_train, train_segmentation), True),
-    "train-cls": ("cls", partial(_cmd_train, train_classifier), True),
-    "sweep": ("seg", _cmd_sweep, True),
-    "complexity": ("complexity", _cmd_complexity, True),
-    "gradcheck": ("gradcheck", _cmd_gradcheck, False),
-    "probe-permutation": ("cls", _cmd_probe, True),
+    "train-seg": ("seg", partial(_cmd_train, train_segmentation)),
+    "train-cls": ("cls", partial(_cmd_train, train_classifier)),
+    "sweep": ("seg", _cmd_sweep),
+    "complexity": ("complexity", _cmd_complexity),
+    "gradcheck": ("gradcheck", _cmd_gradcheck),
+    "probe-permutation": ("cls", _cmd_probe),
 }
 
 
@@ -143,10 +143,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        task, runner, writes = _COMMANDS[args.command]
+        task, runner = _COMMANDS[args.command]
         values = load_config(args.config, task,
                              overrides={"seed": args.seed, "out": args.out})
-        if writes:
+        if "out" in values:
             _check_outdir(values)
         return runner(values)
     except _UsageError as exc:

@@ -12,8 +12,10 @@ import math
 import operator
 from pathlib import Path
 
+from .classifier import ClassifierConfig
 from .errors import ConfigError
-from .phantoms import DEFAULT_CONTRASTS
+from .phantoms import DEFAULT_CONTRASTS, PhantomSpec
+from .segmentation import SegConfig
 
 
 def _to_bool(raw: str) -> bool:
@@ -44,9 +46,11 @@ _AT_LEAST_1, _AT_LEAST_0, _POSITIVE = (">=", 1), (">=", 0), (">", 0.0)
 # phantom levels are normalized image intensities: a noise near 1e308 overflows the
 # phantoms and values past about 1e154 overflow a layer norm's squares, so both are capped far below
 _LEVEL, _NOISE = ("within", (-1e3, 1e3)), ("within", (0.0, 1e3))
-# cls phantoms keep PhantomSpec's default lesion radii (up to 9.0), which must be at most
+# The model and phantom defaults live on their dataclasses; the schemas read them from here.
+_SEG_DEFAULT, _CLS_DEFAULT, _PHANTOM_DEFAULT = SegConfig(), ClassifierConfig(), PhantomSpec()
+# cls phantoms keep PhantomSpec's default lesion radii, the largest of which must be at most
 # (extent - 1) / 2 for a sphere's centre to exist
-_CLS_MIN_EXTENT = (">=", 19)
+_CLS_MIN_EXTENT = (">=", math.ceil(2 * _PHANTOM_DEFAULT.radius_range[1] + 1))
 # A run generates its phantom sets whole before it starts. Each sample costs this many
 # bytes per voxel of its extent^3 volume (seg: four float64 channels and an int64 target;
 # cls: the float64 volume its slices are cut from), and a set may hold at most
@@ -87,34 +91,33 @@ _BOUND_OPS = {">=": operator.ge, ">": operator.gt, "in": lambda value, allowed: 
                                              or isinstance(value, float) and not math.isfinite(value)),
               "all within": lambda values, span: all(span[0] <= v <= span[1] for v in values)}
 
-# schema entries: key -> (type name, default[, bound])
-_COMMON = {
-    "seed": ("int", 0, _AT_LEAST_0),
-    "out": ("str", "out"),
-}
+# schema entries: key -> (type name, default[, bound]); complexity draws nothing at random
+# and gradcheck writes no file, so each takes only the one of these it reads
+_SEED = {"seed": ("int", 0, _AT_LEAST_0)}
+_OUT = {"out": ("str", "out")}
 
 _SEG = {
-    **_COMMON,
-    "extent": ("int", 32, _AT_LEAST_1),
+    **_SEED, **_OUT,
+    "extent": ("int", _SEG_DEFAULT.extent, _AT_LEAST_1),
     "n_train": ("int", 24, _AT_LEAST_1),
     "n_eval": ("int", 24, _AT_LEAST_1),
     "steps": ("int", 900, _AT_LEAST_1),
     "lr": ("float", 2e-4, _POSITIVE),
     "weight_decay": ("float", 1e-4, _AT_LEAST_0),
     "clip": ("float", 1.0, _POSITIVE),
-    "embed_dim": ("int", 32, _WIDTH),
-    "patch_size": ("int", 4, _AT_LEAST_1),
-    "n_layers": ("int", 1, _DEPTH),
+    "embed_dim": ("int", _SEG_DEFAULT.attention.embed_dim, _WIDTH),
+    "patch_size": ("int", _SEG_DEFAULT.attention.patch_size, _AT_LEAST_1),
+    "n_layers": ("int", _SEG_DEFAULT.attention.n_layers, _DEPTH),
     "ffn_hidden": ("int", 0, _FFN_HIDDEN),  # 0 means the 4x embed_dim default
-    "encoder_channels": ("int_list", (8,), _SEG_CHANNELS),
-    "decoder_channels": ("int_list", (16, 8, 8), _SEG_CHANNELS),
-    "n_seg_classes": ("int", 2, _SEG_CLASSES),
-    "deep_supervision": ("bool", True),
-    "ds_decay": ("float", 0.4),
-    "ds_decay_epoch_fraction": ("float", 0.5),
-    "metadata_embed_dim": ("int", 16, _WIDTH),
-    "radius_min": ("float", 4.0),
-    "radius_max": ("float", 9.0),
+    "encoder_channels": ("int_list", _SEG_DEFAULT.encoder_channels, _SEG_CHANNELS),
+    "decoder_channels": ("int_list", _SEG_DEFAULT.decoder_channels, _SEG_CHANNELS),
+    "n_seg_classes": ("int", _SEG_DEFAULT.n_seg_classes, _SEG_CLASSES),
+    "deep_supervision": ("bool", _SEG_DEFAULT.deep_supervision),
+    "ds_decay": ("float", _SEG_DEFAULT.ds_decay),
+    "ds_decay_epoch_fraction": ("float", _SEG_DEFAULT.ds_decay_epoch_fraction),
+    "metadata_embed_dim": ("int", _SEG_DEFAULT.metadata_embed_dim, _WIDTH),
+    "radius_min": ("float", _PHANTOM_DEFAULT.radius_range[0]),
+    "radius_max": ("float", _PHANTOM_DEFAULT.radius_range[1]),
     # one value left; the key stays so existing configs that set it still load
     "availability_training": ("str", "shared", ("in", ("shared",))),
     "checkpoint": ("str", ""),
@@ -125,8 +128,8 @@ for _mod, _c in DEFAULT_CONTRASTS.items():
     _SEG[f"{_mod.lower()}_noise"] = ("float", _c.noise, _NOISE)
 
 _CLS = {
-    **_COMMON,
-    "extent": ("int", 32, _CLS_MIN_EXTENT),
+    **_SEED, **_OUT,
+    "extent": ("int", _PHANTOM_DEFAULT.extent, _CLS_MIN_EXTENT),
     "n_train": ("int", 48, _AT_LEAST_1),
     "n_eval": ("int", 40, _AT_LEAST_1),
     "slices_per_volume": ("int", 3, _AT_LEAST_1),
@@ -135,29 +138,27 @@ _CLS = {
     "lr": ("float", 1e-3, _POSITIVE),
     "weight_decay": ("float", 1e-4, _AT_LEAST_0),
     "clip": ("float", 1.0, _POSITIVE),
-    "stage_channels": ("int_list", (16, 32, 64, 128), _CLS_CHANNELS),
-    "film_stages": ("int_list", (2, 3)),
+    "stage_channels": ("int_list", _CLS_DEFAULT.stage_channels, _CLS_CHANNELS),
+    "film_stages": ("int_list", _CLS_DEFAULT.film_stages),
     "trials": ("int", 20, _AT_LEAST_1),
 }
 
 _COMPLEXITY = {
-    **_COMMON,
+    **_OUT,
     "embed_dim": ("int", 256, _AT_LEAST_1),
     "input_extent": ("int", 64, _AT_LEAST_1),
-    "patch_size": ("int", 4, _AT_LEAST_1),
+    "patch_size": ("int", _SEG_DEFAULT.attention.patch_size, _AT_LEAST_1),
     "encoder_downsamples": ("int", 1, _AT_LEAST_0),
     "ffn_hidden": ("int", 0, _AT_LEAST_0),
-    "n_layers": ("int", 1, _DEPTH),
-    "metadata_embed_dim": ("int", 16, _AT_LEAST_1),
+    "n_layers": ("int", _SEG_DEFAULT.attention.n_layers, _DEPTH),
+    "metadata_embed_dim": ("int", _SEG_DEFAULT.metadata_embed_dim, _AT_LEAST_1),
 }
-
-_GRADCHECK = {**_COMMON}
 
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "seg": _SEG,
     "cls": _CLS,
     "complexity": _COMPLEXITY,
-    "gradcheck": _GRADCHECK,
+    "gradcheck": _SEED,
 }
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
@@ -57,11 +57,8 @@ def _seeds(master: int, n: int) -> list[int]:
 
 
 def _phantom_spec(values: dict, n: int, seed: int) -> PhantomSpec:
-    contrasts = {}
-    for name in MODALITY_NAMES:
-        key = name.lower()
-        contrasts[name] = ModalityContrast(values[f"{key}_background"], values[f"{key}_lesion"],
-                                           values[f"{key}_noise"])
+    contrasts = {name: ModalityContrast(*(values[f"{name.lower()}_{f.name}"] for f in fields(ModalityContrast)))
+                 for name in MODALITY_NAMES}
     return PhantomSpec(extent=values["extent"], n_samples=n,
                        radius_range=(values["radius_min"], values["radius_max"]),
                        contrasts=contrasts, seed=seed)
@@ -74,14 +71,9 @@ def attention_config_from_values(values: dict) -> AttentionConfig:
 
 
 def seg_config_from_values(values: dict) -> SegConfig:
-    return SegConfig(extent=values["extent"], attention=attention_config_from_values(values),
-                     encoder_channels=values["encoder_channels"],
-                     decoder_channels=values["decoder_channels"],
-                     n_seg_classes=values["n_seg_classes"],
-                     deep_supervision=values["deep_supervision"],
-                     ds_decay=values["ds_decay"],
-                     ds_decay_epoch_fraction=values["ds_decay_epoch_fraction"],
-                     metadata_embed_dim=values["metadata_embed_dim"])
+    """Every ``SegConfig`` field but the bottleneck is the seg config key of its name."""
+    return SegConfig(attention=attention_config_from_values(values),
+                     **{f.name: values[f.name] for f in fields(SegConfig) if f.name != "attention"})
 
 
 def train_segmentation(values: dict) -> tuple[SegModel, list[float]]:

@@ -122,15 +122,22 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias, eps=self.EPS)
 
 
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
+def clip_grad_norm(params: list[Tensor], max_norm: float, names: list[str] | None = None) -> float:
     """Scale all gradients so the global norm is at most ``max_norm``.
 
     Returns the pre-clip norm; a parameter without a gradient adds nothing to it.
+    A norm that is not finite raises ``NumericError`` before any gradient is scaled,
+    naming the first non-finite gradient (by ``names``, else by position) or the overflow.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
+    if not np.isfinite(total):
+        bad = [names[i] if names else i for i, p in enumerate(params)
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        raise NumericError(f"the gradient of parameter {bad[0]} is not finite" if bad else
+                           "the squared gradient norm overflowed, though every gradient is finite")
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
@@ -177,11 +184,11 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
     """One optimization step on the loss ``loss_of()`` records; returns its value
     from before the update.
 
-    A non-finite loss raises ``NumericError`` naming the first op that went
-    non-finite, before any parameter or optimizer state moves. A parameter the
-    update leaves non-finite raises ``NumericError`` naming the first such
-    parameter; that check runs after the step, so by then the parameters and
-    the optimizer state have moved.
+    A non-finite loss, or gradient norm (``clip_grad_norm``), raises ``NumericError``
+    naming the first op, or parameter, that went non-finite, before any parameter or
+    optimizer state moves. A parameter the update leaves non-finite raises
+    ``NumericError`` naming the first such parameter; that check runs after the
+    step, so by then the parameters and the optimizer state have moved.
     """
     named = model.named_parameters()
     for _, p in named:
@@ -193,7 +200,7 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
             culprit = tape.first_nonfinite() or "loss"
             raise NumericError(f"non-finite training loss (first bad op: {culprit})")
         tape.backward(loss)
-    clip_grad_norm([p for _, p in named], clip)
+    clip_grad_norm([p for _, p in named], clip, [name for name, _ in named])
     optimizer.step(named, lr, weight_decay)
     for name, p in named:
         if not np.isfinite(p.data).all():

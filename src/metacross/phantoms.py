@@ -137,7 +137,7 @@ def _polarity(sequence: int, is_lesion: bool) -> float:
     return _CLS_DELTA if bright else -_CLS_DELTA
 
 
-def generate_cls_phantoms(spec: PhantomSpec, slices_per_volume: int = 3) -> list[ClsSample]:
+def generate_cls_phantoms(spec: PhantomSpec, slices_per_volume: int) -> list[ClsSample]:
     """Axial slices labeled by lesion presence at the 30-pixel floor.
 
     Half the volumes carry a lesion, half carry a look-alike distractor

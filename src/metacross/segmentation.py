@@ -315,7 +315,7 @@ def combined_loss(logits: Tensor, target: np.ndarray, aux_logits: list[Tensor] =
 
 
 def train_step(model: SegModel, batch: SegBatch, optimizer: Adam,
-               lr: float = 2e-4, weight_decay: float = 1e-4, clip: float = 1.0,
+               lr: float, weight_decay: float, clip: float,
                *, epoch: int = 0, total_epochs: int = 1) -> float:
     """One optimization step; returns the loss value before the update."""
     def loss_of() -> Tensor:

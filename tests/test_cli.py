@@ -111,10 +111,29 @@ def test_zero_batch_is_config_error(tmp_path, capsys):
 def test_negative_seed_flag_names_key(tmp_path, capsys):
     # --seed used to bypass the schema and end in numpy's unnamed "expected non-negative integer"
     out = tmp_path / "out"
-    for command in ("gradcheck", "train-seg"):
-        assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+    for argv in (["gradcheck"], ["train-seg", "--out", str(out)]):
+        assert main([*argv, "--seed", "-1"]) == 1
         assert "config key 'seed'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_keys_a_task_does_not_read_exit_one_before_any_work(tmp_path, capsys, monkeypatch):
+    # complexity draws nothing at random and gradcheck writes no file, yet both used to
+    # accept the key they ignore and exit 0
+    def refuse(*args, **kwargs):
+        pytest.fail("the run went past config validation")
+
+    monkeypatch.setattr(cli, "compare_bottlenecks", refuse)
+    monkeypatch.setattr(cli, "gradcheck_suite", refuse)
+    monkeypatch.chdir(tmp_path)
+    seed_cfg, out_cfg = _write(tmp_path, "seed.cfg", "seed = 1\n"), _write(tmp_path, "out.cfg", "out = D\n")
+    for argv, key in ((["complexity", "--seed", "1"], "seed"), (["complexity", "--config", seed_cfg], "seed"),
+                      (["gradcheck", "--out", "D"], "out"), (["gradcheck", "--config", out_cfg], "out")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"unknown config key {key!r} for task {argv[0]!r}" in captured.err
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cfg", "seed.cfg"]
 
 
 def test_negative_seed_in_config_names_key(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Flat config parsing, schema validation, and file loading."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,9 +159,22 @@ def test_validate_rejects_unknown_task():
 
 
 def test_schemas_share_common_keys():
-    for schema in SCHEMAS.values():
-        assert "seed" in schema
-        assert "out" in schema
+    # a task takes seed only if it draws at random and out only if it writes files
+    for task, keys in (("seg", {"seed", "out"}), ("cls", {"seed", "out"}),
+                       ("complexity", {"out"}), ("gradcheck", {"seed"})):
+        assert {"seed", "out"} & SCHEMAS[task].keys() == keys, task
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for task in ("seg", "cls", "complexity"):
+        section = readme.split(f"### Config keys ({task})\n", 1)[1].split("\n##", 1)[0]
+        named = set(re.findall(r"`([^`]+)`", section))
+        for key in SCHEMAS[task]:
+            # the contrast keys share one row: `<mod>_background` and so on, then each `<mod>`
+            mod, _, level = key.rpartition("_")
+            covered = key in named or (mod in named and f"<mod>_{level}" in named)
+            assert covered, f"README's {task} config keys do not name {key!r}"
 
 
 def test_load_config_reads_and_overrides(tmp_path):
@@ -180,8 +194,8 @@ def test_cls_extent_bound_fits_the_phantom_radius():
     largest = PhantomSpec().radius_range[1]
     assert (op, low) == (">=", 2 * largest + 1)
     spec = _cls_phantom_spec(validate_config({"extent": str(low)}, "cls"), 4, 0)
-    assert len(generate_cls_phantoms(spec)) == 12
-    generate_cls_phantoms(replace(spec, radius_range=(largest, largest)))  # the largest radius at the floor
+    assert len(generate_cls_phantoms(spec, 3)) == 12
+    generate_cls_phantoms(replace(spec, radius_range=(largest, largest)), 3)  # the largest radius at the floor
 
 
 def test_phantom_sets_past_the_byte_ceiling_name_their_key():

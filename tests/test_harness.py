@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from metacross.attention import AttentionConfig
 from metacross.configfile import validate_config
 from metacross.errors import NumericError
 from metacross.harness import (
@@ -19,6 +20,7 @@ from metacross.harness import (
     _cls_phantom_spec,
     _phantom_spec,
     _seeds,
+    attention_config_from_values,
     classifier_config_from_values,
     enumerate_scenarios,
     gradcheck_suite,
@@ -91,12 +93,17 @@ def test_seg_config_from_values_roundtrip():
 
 
 def test_cli_defaults_build_the_api_defaults():
-    seg = validate_config({}, "seg")
+    seg, cls = validate_config({}, "seg"), validate_config({}, "cls")
     assert seg_config_from_values(seg) == SegConfig()
-    assert classifier_config_from_values(validate_config({}, "cls")) == ClassifierConfig()
+    assert classifier_config_from_values(cls) == ClassifierConfig()
     spec, default = _phantom_spec(seg, 8, 0), PhantomSpec()
     assert (spec.extent, spec.radius_range) == (default.extent, default.radius_range)
     assert spec.contrasts == DEFAULT_CONTRASTS
+    assert _cls_phantom_spec(cls, 8, 0) == PhantomSpec(n_samples=8)
+    # the complexity report costs the seg model's bottleneck at its own width
+    cx = validate_config({}, "complexity")
+    assert attention_config_from_values(cx) == AttentionConfig(embed_dim=cx["embed_dim"])
+    assert cx["metadata_embed_dim"] == SegConfig().metadata_embed_dim
 
 
 def test_train_segmentation_returns_losses():

@@ -162,6 +162,14 @@ def test_clip_grad_norm_scales_and_reports():
     assert np.array_equal(q.grad, [0.3, 0.4])  # under the cap, untouched
 
 
+def test_clip_grad_norm_refuses_a_non_finite_norm_before_scaling():
+    a, b = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(1), requires_grad=True)
+    a.grad, b.grad = np.array([3.0, 4.0]), np.array([np.inf])
+    with pytest.raises(NumericError, match="gradient of parameter 1 is not finite"):
+        clip_grad_norm([a, b], 1.0)
+    assert np.array_equal(a.grad, [3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -248,6 +256,38 @@ def test_optimize_on_a_poisoned_model_moves_nothing():
     assert {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m} == moments
 
 
+class _ScaledPair(Module):
+    """Loss sum(y * y) + sum(b) for y = k * a: a's gradient 2 k^2 a overflows while the loss stays finite."""
+
+    def __init__(self):
+        self.a = Tensor(np.array([1.0]), requires_grad=True)
+        self.b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        self.k = 1.0
+
+    def loss(self) -> Tensor:
+        y = T.scale(self.a, self.k)
+        return T.add(T.sum_(T.mul(y, y)), T.sum_(self.b))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("a, message", [(1e-292, "the gradient of parameter a is not finite"),
+                                        (1e-300, "the squared gradient norm overflowed")])
+def test_optimize_on_a_non_finite_gradient_norm_moves_nothing(a, message):
+    # an infinite gradient used to set the clip factor to 0 and inf * 0 to NaN: Adam wrote
+    # NaN into a and its moments, took no step on b, and blamed the update; a finite
+    # gradient whose square overflowed zeroed every gradient and the step went on
+    model, opt = _ScaledPair(), Adam()
+    optimize(model, model.loss, opt, lr=0.1, weight_decay=0.01, clip=1.0)
+    model.a.data[0], model.k = a, 1e300
+    params = [p.data.tobytes() for p in model.parameters()]
+    moments = {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m}
+    with pytest.raises(NumericError, match=message):
+        optimize(model, model.loss, opt, lr=0.1, weight_decay=0.01, clip=1.0)
+    assert [p.data.tobytes() for p in model.parameters()] == params
+    assert opt.t == 1
+    assert {name: (opt.m[name].tobytes(), opt.v[name].tobytes()) for name in opt.m} == moments
+
+
 def test_optimize_names_the_first_parameter_the_update_leaves_non_finite():
     model = Linear(3, 2, rng=np.random.default_rng(4))
     x = Tensor(np.random.default_rng(5).normal(size=(4, 3)))
@@ -298,7 +338,7 @@ def test_no_two_parameters_share_a_gradient_after_a_step():
     rng = np.random.default_rng(7)
     batch = SegBatch(Tensor(rng.normal(size=(4, 16, 16, 16))), ModalityMask([True] * 4),
                      (rng.random((16, 16, 16)) < 0.3).astype(np.int64))
-    train_step(seg, batch, Adam())
+    train_step(seg, batch, Adam(), values["lr"], values["weight_decay"], values["clip"])
     _assert_no_shared_gradients(seg)
 
     cls = FilmClassifier(ClassifierConfig(), rng=np.random.default_rng(8))

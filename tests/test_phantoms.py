@@ -173,8 +173,8 @@ def test_cls_distractors_swap_polarity(monkeypatch):
 
 def test_cls_phantoms_deterministic():
     spec = PhantomSpec(extent=16, n_samples=4, radius_range=(3.0, 6.0), seed=17)
-    a = generate_cls_phantoms(spec)
-    b = generate_cls_phantoms(spec)
+    a = generate_cls_phantoms(spec, 3)
+    b = generate_cls_phantoms(spec, 3)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.image, sb.image)
         assert (sa.sequence, sa.plane, sa.label) == (sb.sequence, sb.plane, sb.label)

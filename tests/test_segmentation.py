@@ -32,6 +32,9 @@ from metacross.segmentation import (
 )
 from metacross.tensor import Tape, Tensor
 
+# the seg config's optimizer settings, which train_step takes from its caller
+STEP = {key: load_config(None, "seg")[key] for key in ("lr", "weight_decay", "clip")}
+
 
 def _tiny_cfg(**kw):
     base = dict(
@@ -559,10 +562,10 @@ def test_train_step_reduces_loss_on_repetition():
     model = SegModel(cfg, rng=np.random.default_rng(10))
     batch = _batch(cfg, seed=11)
     opt = Adam()
-    first = train_step(model, batch, opt, lr=3e-3, total_epochs=40)
+    first = train_step(model, batch, opt, **{**STEP, "lr": 3e-3}, total_epochs=40)
     last = first
     for epoch in range(1, 40):
-        last = train_step(model, batch, opt, lr=3e-3, epoch=epoch, total_epochs=40)
+        last = train_step(model, batch, opt, **{**STEP, "lr": 3e-3}, epoch=epoch, total_epochs=40)
     assert np.isfinite(first) and np.isfinite(last)
     assert last < first
 
@@ -574,10 +577,10 @@ def test_default_train_step_releases_the_tape_as_it_goes():
     model = SegModel(seg_config_from_values(load_config(None, "seg")), rng=np.random.default_rng(14))
     batch = _batch(model.cfg, seed=15)
     opt = Adam()
-    train_step(model, batch, opt, total_epochs=2)  # warm-up: Adam's moments are made once
+    train_step(model, batch, opt, **STEP, total_epochs=2)  # warm-up: Adam's moments are made once
     tracemalloc.start()
     try:
-        train_step(model, batch, opt, epoch=1, total_epochs=2)
+        train_step(model, batch, opt, **STEP, epoch=1, total_epochs=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,7 +602,7 @@ def test_default_train_step_keeps_every_handed_over_gradient(monkeypatch):
             copied.append(g.shape)
 
     monkeypatch.setattr(Tensor, "accumulate", recording)
-    train_step(model, batch, Adam(), total_epochs=2)
+    train_step(model, batch, Adam(), **STEP, total_epochs=2)
     assert all(math.prod(shape) == 1 for shape in copied), copied
 
 
@@ -631,7 +634,7 @@ def test_default_phase_convs_gather_and_the_rest_run_kn2row(monkeypatch):
     phase_rows |= {(i, 2, 2, 2, 8 * c) for c, i in zip(cfg.decoder_channels, phase_in)}
     stem_half = (cfg.decoder_channels[cfg.skip_stage], 3, 3, 3, enc)
     heads = {(classes, 1, 1, 1, c) for c in cfg.decoder_channels}
-    train_step(model, batch, Adam(), total_epochs=2)
+    train_step(model, batch, Adam(), **STEP, total_epochs=2)
     assert not phase_rows & set(seen), seen
     assert {stem_half} | heads <= set(seen), seen
     assert (2, 2, 2) not in kernels and {(3, 3, 3), (1, 1, 1)} <= set(kernels), kernels
@@ -646,7 +649,7 @@ def test_train_step_raises_on_poisoned_parameters():
     model = SegModel(cfg, rng=np.random.default_rng(12))
     model.head.weight.data[0, 0, 0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="first bad op"):
-        train_step(model, _batch(cfg, seed=13), Adam())
+        train_step(model, _batch(cfg, seed=13), Adam(), **STEP)
 
 
 # ---------------------------------------------------------------------------
