@@ -16,7 +16,7 @@ import numpy as np
 
 from .complexity import (bottleneck_tokens, compare_bottlenecks,
                          render_comparison_csv, render_comparison_text)
-from .configfile import load_config
+from .configfile import SCHEMAS, load_config
 from .errors import ConfigError, NumericError
 from .harness import (attention_config_from_values, gradcheck_suite,
                       render_loss_csv, render_probe_json, run_probe, run_sweep,
@@ -37,14 +37,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# flags that override a config key; a subcommand takes those its task's schema holds
+_OVERRIDES = {"seed": {"type": int, "help": "override the config seed"},
+              "out": {"help": "override the output directory"}}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="metacross", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("train-seg", "train-cls", "sweep", "complexity", "gradcheck", "probe-permutation"):
+    for name, (task, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
+        for key, kwargs in _OVERRIDES.items():
+            if key in SCHEMAS[task]:
+                p.add_argument(f"--{key}", default=None, **kwargs)
     return parser
 
 
@@ -145,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         task, runner = _COMMANDS[args.command]
         values = load_config(args.config, task,
-                             overrides={"seed": args.seed, "out": args.out})
+                             overrides={key: getattr(args, key, None) for key in _OVERRIDES})
         if "out" in values:
             _check_outdir(values)
         return runner(values)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .classifier import ClassifierConfig
 from .errors import ConfigError
-from .phantoms import DEFAULT_CONTRASTS, PhantomSpec
+from .metadata import N_MODALITIES
+from .phantoms import DEFAULT_CONTRASTS, SEG_LABEL_DTYPE, PhantomSpec
 from .segmentation import SegConfig
 
 
@@ -52,12 +53,12 @@ _SEG_DEFAULT, _CLS_DEFAULT, _PHANTOM_DEFAULT = SegConfig(), ClassifierConfig(), 
 # (extent - 1) / 2 for a sphere's centre to exist
 _CLS_MIN_EXTENT = (">=", math.ceil(2 * _PHANTOM_DEFAULT.radius_range[1] + 1))
 # A run generates its phantom sets whole before it starts. Each sample costs this many
-# bytes per voxel of its extent^3 volume (seg: four float64 channels and an int64 target;
-# cls: the float64 volume its slices are cut from), and a set may hold at most
-# _PHANTOM_BYTES_MAX, about 30x the default seg training set. Steps and trials only make a
+# bytes per voxel of its extent^3 volume (seg: four float64 channels and a one-byte label,
+# 33 bytes; cls: the float64 volume its slices are cut from), and a set may hold at most
+# _PHANTOM_BYTES_MAX, about 41x the default seg training set. Steps and trials only make a
 # run long, so they stay unbounded.
 _PHANTOM_BYTES_MAX = 1 << 30
-_PHANTOM_VOXEL_BYTES = {"seg": 40, "cls": 8}
+_PHANTOM_VOXEL_BYTES = {"seg": N_MODALITIES * 8 + SEG_LABEL_DTYPE.itemsize, "cls": 8}
 # Width and depth caps, each far above the defaults, so a typo cannot ask numpy for
 # more memory than the machine has. Each bounds one key; the model's size is their product.
 # Token width: 4x the 256-wide bottleneck the complexity report costs by default; the two

@@ -189,19 +189,22 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
     optimizer state moves. A parameter the update leaves non-finite raises
     ``NumericError`` naming the first such parameter; that check runs after the
     step, so by then the parameters and the optimizer state have moved.
+    numpy's floating-point warnings are silenced throughout, so a value that
+    overflows surfaces only as that named error.
     """
     named = model.named_parameters()
     for _, p in named:
         p.grad = None
-    with Tape() as tape:
-        loss = loss_of()
-        value = loss.item()
-        if not np.isfinite(value):
-            culprit = tape.first_nonfinite() or "loss"
-            raise NumericError(f"non-finite training loss (first bad op: {culprit})")
-        tape.backward(loss)
-    clip_grad_norm([p for _, p in named], clip, [name for name, _ in named])
-    optimizer.step(named, lr, weight_decay)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with Tape() as tape:
+            loss = loss_of()
+            value = loss.item()
+            if not np.isfinite(value):
+                culprit = tape.first_nonfinite() or "loss"
+                raise NumericError(f"non-finite training loss (first bad op: {culprit})")
+            tape.backward(loss)
+        clip_grad_norm([p for _, p in named], clip, [name for name, _ in named])
+        optimizer.step(named, lr, weight_decay)
     for name, p in named:
         if not np.isfinite(p.data).all():
             raise NumericError(f"parameter {name} is non-finite after the update")

@@ -26,6 +26,8 @@ from .segmentation import SegBatch
 from .tensor import Tensor
 
 MIN_LESION_PIXELS = 30  # below this a slice does not count as lesion-positive
+# seg labels take one byte per voxel: the config caps n_seg_classes at 16
+SEG_LABEL_DTYPE = np.dtype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def generate_seg_phantoms(spec: PhantomSpec) -> list[SegBatch]:
             c = spec.contrasts[name]
             level = np.where(inside, c.lesion, c.background)
             chans[m] = level + c.noise * rng.standard_normal(level.shape)
-        batches.append(SegBatch(Tensor(chans), ModalityMask([True] * 4), inside.astype(np.int64)))
+        batches.append(SegBatch(Tensor(chans), ModalityMask([True] * 4), inside.astype(SEG_LABEL_DTYPE)))
     return batches
 
 

@@ -107,7 +107,7 @@ class SegBatch:
 
     volumes: Tensor  # [4, d, h, w]
     mask: ModalityMask
-    target: np.ndarray  # [d, h, w] integer labels
+    target: np.ndarray  # [d, h, w] non-negative labels of any integer dtype (the phantoms use uint8)
 
     def __post_init__(self):
         if self.volumes.ndim != 4 or self.volumes.shape[0] != N_MODALITIES:

@@ -127,13 +127,29 @@ def test_keys_a_task_does_not_read_exit_one_before_any_work(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "gradcheck_suite", refuse)
     monkeypatch.chdir(tmp_path)
     seed_cfg, out_cfg = _write(tmp_path, "seed.cfg", "seed = 1\n"), _write(tmp_path, "out.cfg", "out = D\n")
-    for argv, key in ((["complexity", "--seed", "1"], "seed"), (["complexity", "--config", seed_cfg], "seed"),
-                      (["gradcheck", "--out", "D"], "out"), (["gradcheck", "--config", out_cfg], "out")):
+    # neither subcommand has the flag for the key it does not read, so argparse refuses it
+    for argv, message in ((["complexity", "--seed", "1"], "unrecognized arguments: --seed 1"),
+                          (["complexity", "--config", seed_cfg], "unknown config key 'seed' for task 'complexity'"),
+                          (["gradcheck", "--out", "D"], "unrecognized arguments: --out D"),
+                          (["gradcheck", "--config", out_cfg], "unknown config key 'out' for task 'gradcheck'")):
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert f"unknown config key {key!r} for task {argv[0]!r}" in captured.err
+        assert message in captured.err
         assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cfg", "seed.cfg"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_the_override_flags_its_task_reads(command, capsys):
+    # help used to list --seed and --out for every subcommand, though complexity
+    # reads no seed and gradcheck writes no file
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--config" in text
+    assert ("--seed" in text, "--out" in text) == {"complexity": (False, True),
+                                                   "gradcheck": (True, False)}.get(command, (True, True))
 
 
 def test_negative_seed_in_config_names_key(tmp_path, capsys):
@@ -144,8 +160,6 @@ def test_negative_seed_in_config_names_key(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_config_float_names_key(tmp_path, capsys):
     # nan and inf used to reach the phantoms and exit 2 as a numeric failure
     for command, line in (("train-seg", "flair_noise = nan"), ("sweep", "t2_lesion = inf")):
@@ -164,7 +178,6 @@ def test_non_finite_config_float_names_key(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command, first", [
     ("train-seg", "stems.0.0.weight"),
     ("train-cls", "embeddings.sequence_table"),

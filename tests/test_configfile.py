@@ -199,12 +199,12 @@ def test_cls_extent_bound_fits_the_phantom_radius():
 
 
 def test_phantom_sets_past_the_byte_ceiling_name_their_key():
-    # 1 GiB holds 819 seg samples of 40 bytes per voxel at 32^3, and one cls volume
-    # of 8 bytes per voxel up to extent 512
-    assert validate_config({"n_train": "819", "n_eval": "819"}, "seg")["n_train"] == 819
+    # 1 GiB holds 992 seg samples of 33 bytes per voxel (four float64 channels and a
+    # one-byte label) at 32^3, and one cls volume of 8 bytes per voxel up to extent 512
+    assert validate_config({"n_train": "992", "n_eval": "992"}, "seg")["n_train"] == 992
     for key in ("n_train", "n_eval"):
-        with pytest.raises(ConfigError, match=f"config key '{key}': 820 needs"):
-            validate_config({key: "820"}, "seg")
+        with pytest.raises(ConfigError, match=f"config key '{key}': 993 needs"):
+            validate_config({key: "993"}, "seg")
     assert validate_config({"extent": "512", "n_train": "1", "n_eval": "1"}, "cls")["extent"] == 512
     with pytest.raises(ConfigError, match="config key 'extent': 513 needs"):
         validate_config({"extent": "513", "n_train": "1", "n_eval": "1"}, "cls")

@@ -249,8 +249,6 @@ def test_train_classifier_micro_run(monkeypatch):
     assert all(np.array_equal(a.image, b.image) for a, b in zip(made[1], want))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_train_classifier_raises_on_divergence():
     # the first update overflows the weights; the next loss must not be recorded as nan
     values = validate_config(dict(MICRO_CLS, lr="1e308", weight_decay="0"), "cls")

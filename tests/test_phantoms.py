@@ -89,13 +89,23 @@ def test_seg_phantoms_shapes_and_determinism():
     for ba, bb in zip(a, b):
         assert ba.volumes.shape == (4, 16, 16, 16)
         assert ba.target.shape == (16, 16, 16)
-        assert ba.target.dtype == np.int64
+        assert ba.target.dtype == np.uint8
         assert ba.mask.available == (True, True, True, True)
         assert np.array_equal(ba.volumes.data, bb.volumes.data)
         assert np.array_equal(ba.target, bb.target)
     different = generate_seg_phantoms(PhantomSpec(extent=16, n_samples=3,
                                                   radius_range=(3.0, 6.0), seed=6))
     assert not np.array_equal(a[0].volumes.data, different[0].volumes.data)
+
+
+def test_seg_sample_bytes_match_the_config_budget():
+    # the config refuses phantom sets past a byte cap from this per-voxel figure, so it
+    # must count what a generated sample holds
+    from metacross.configfile import _PHANTOM_VOXEL_BYTES
+
+    extent = 12
+    (batch,) = generate_seg_phantoms(PhantomSpec(extent=extent, n_samples=1, radius_range=(2.0, 4.0)))
+    assert batch.volumes.data.nbytes + batch.target.nbytes == _PHANTOM_VOXEL_BYTES["seg"] * extent ** 3
 
 
 def test_seg_phantom_levels_track_contrast_spec():

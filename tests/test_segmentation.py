@@ -553,6 +553,24 @@ def test_combined_loss_without_aux_is_ce_plus_dice_gap():
     assert abs(got - (ce + 1.0 - dice)) < 1e-14
 
 
+def test_one_byte_labels_give_the_int64_labels_loss_gradients_and_dice_bitwise():
+    # the phantoms hold uint8 labels; API callers may pass any integer dtype
+    cfg = _tiny_cfg(n_seg_classes=3)
+    rng = np.random.default_rng(12)
+    wide = rng.integers(0, 3, size=(8, 8, 8))
+    logits, aux = rng.normal(size=(3, 8, 8, 8)), rng.normal(size=(3, 4, 4, 4))
+    runs = []
+    for target in (wide, wide.astype(np.uint8)):
+        x, a = Tensor(logits.copy(), requires_grad=True), Tensor(aux.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = combined_loss(x, target, [a], epoch=1, total_epochs=4, cfg=cfg)
+            tape.backward(loss)
+        pred = np.argmax(logits, axis=0)
+        runs.append((loss.data.tobytes(), x.grad.tobytes(), a.grad.tobytes(),
+                     [dice_score(pred, target, c) for c in range(3)]))
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # training
 
