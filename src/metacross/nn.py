@@ -186,9 +186,11 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
 
     A non-finite loss, or gradient norm (``clip_grad_norm``), raises ``NumericError``
     naming the first op, or parameter, that went non-finite, before any parameter or
-    optimizer state moves. A parameter the update leaves non-finite raises
-    ``NumericError`` naming the first such parameter; that check runs after the
-    step, so by then the parameters and the optimizer state have moved.
+    optimizer state moves; the op is found by running ``loss_of`` once more under
+    ``tensor.first_nonfinite``'s probe, since the tape keeps no outputs. A parameter
+    the update leaves non-finite raises ``NumericError`` naming the first such
+    parameter; that check runs after the step, so by then the parameters and the
+    optimizer state have moved.
     numpy's floating-point warnings are silenced throughout, so a value that
     overflows surfaces only as that named error.
     """
@@ -200,7 +202,7 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
             loss = loss_of()
             value = loss.item()
             if not np.isfinite(value):
-                culprit = tape.first_nonfinite() or "loss"
+                culprit = T.first_nonfinite(loss_of) or "loss"
                 raise NumericError(f"non-finite training loss (first bad op: {culprit})")
             tape.backward(loss)
         clip_grad_norm([p for _, p in named], clip, [name for name, _ in named])

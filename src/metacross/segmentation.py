@@ -261,7 +261,9 @@ def dice_score(pred, target, class_id: int) -> float:
 
 def _one_hot(target: np.ndarray, n_classes: int) -> np.ndarray:
     """[C, *spatial] float64 indicator of each class."""
-    classes = np.arange(n_classes).reshape((n_classes,) + (1,) * target.ndim)
+    # class ids in the labels' own dtype when they fit, so the compare casts no label
+    fits = np.issubdtype(target.dtype, np.integer) and n_classes - 1 <= np.iinfo(target.dtype).max
+    classes = np.arange(n_classes, dtype=target.dtype if fits else None).reshape((n_classes,) + (1,) * target.ndim)
     return (classes == target).astype(np.float64)
 
 
@@ -278,6 +280,7 @@ def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
     num = (p * onehot).sum(axis=spatial) * 2.0 + _DICE_SMOOTH
     den = p.sum(axis=spatial) + onehot.sum(axis=spatial) + _DICE_SMOOTH
     out = Tensor((onehot * log_p).sum() * (-1.0 / n) + (1.0 - (num / den).sum() * (1.0 / n_classes)))
+    dst = T._target(logits)  # the rule keeps p and onehot, not the logits
 
     def rule(g: np.ndarray) -> None:
         per_class = (n_classes,) + (1,) * len(spatial)
@@ -287,7 +290,7 @@ def _ce_plus_dice_gap(logits: Tensor, target: np.ndarray) -> Tensor:
         gx = p * d
         gx += (p - onehot) * (1.0 / n)
         gx *= g
-        logits.accumulate(gx)
+        dst.accumulate(gx)
 
     return T._record("ce_dice_gap", out, (logits,), rule)
 
@@ -330,9 +333,11 @@ def predict_labels(model: SegModel, batch: SegBatch) -> np.ndarray:
 
     A strict compare over the classes, one class at a time, keeps the first
     maximum as ``np.argmax`` does, without its per-voxel loop over the class
-    axis. A non-finite logit raises NumericError.
+    axis. A non-finite logit raises NumericError; numpy's floating-point
+    warnings are silenced in the forward, so an overflow surfaces only as that.
     """
-    logits, _ = model.forward(batch)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logits, _ = model.forward(batch)
     x = logits.data
     if not np.isfinite(x).all():
         raise NumericError("predict_labels: the logits are not finite")

@@ -10,15 +10,28 @@ and an op records onto the innermost, so one thread at a time may record.
 
 An op is recorded only when one of its inputs needs a gradient, and a rule
 runs only for a recorded op. So a rule with one input accumulates into it
-unconditionally, and a rule with several inputs tests each one's
-``needs_grad``.
+unconditionally, and a rule with several inputs tests each one's target.
+
+What a rule keeps: ``Tape.record`` gives each recorded output a ``Slot``, which
+holds only its gradient and shape, and the tape keeps the slot, not the
+output. A rule captures where each input's gradient goes (the slot of the op
+that made it, a leaf ``Tensor`` itself, or nothing for an input that needs no
+gradient) and only the arrays its formula reads: ``relu``, ``exp`` and the
+softmaxes keep their output, ``log`` its input, ``gelu`` its input and cdf,
+``mul``, ``div`` and ``matmul`` the operands the other operand's gradient
+needs, a conv its input only when the weight needs a gradient. Shape-only
+rules (``add``, ``sum``, ``reshape``, ``narrow``, ``interleave_phases``, ...)
+keep no array. So an activation no rule reads is freed as soon as the
+forward drops it.
 
 Gradient lifetime: a tape is replayed once, and each node is released as soon
 as its rule has run, so after backward only leaves (tensors no rule produced:
 parameters and inputs) hold ``.grad``. A rule hands each gradient array to one
-tensor and does not read it again; the tensor keeps the first one it gets, not
-a copy, in whatever layout the rule made it (see ``Tensor.accumulate``). ``add``
-hands its upstream gradient to the first operand, so the second gets a copy.
+target and does not read it again; the target keeps the first one it gets, not
+a copy, in whatever layout the rule made it (see ``GradTarget.accumulate``).
+``add`` hands its upstream gradient to the first operand, so the second gets a
+copy. The outputs are gone by backward, so a non-finite loss is traced to its
+first op by running the loss again under a probe (see ``first_nonfinite``).
 
 Broadcasting follows the trailing-dimension rule: shapes are aligned from the
 right and a size-1 extent stretches. Gradients of broadcast operands are
@@ -173,7 +186,7 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self.nodes: list[tuple[str, "Tensor | None", Callable[[np.ndarray], None] | None]] = []  # None once released
+        self.nodes: list[tuple[str, "Slot | None", Callable[[np.ndarray], None] | None]] = []  # None once released
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -185,45 +198,103 @@ class Tape:
         _tapes.pop()
 
     def record(self, name: str, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
-        self.nodes.append((name, out, backward))
+        """Give ``out`` a slot for its gradient and keep the slot and the rule, not ``out``."""
+        out.slot = Slot(out.shape)
+        self.nodes.append((name, out.slot, backward))
 
     def backward(self, root: "Tensor") -> None:
         """Seed ``root`` with a gradient of ones and run every rule in reverse, once.
 
-        Each node is released as soon as its rule has run: its output's
-        gradient and the node's references to the output and the rule are
+        Each node is released as soon as its rule has run: its slot's
+        gradient and the node's references to the slot and the rule are
         dropped, so the live set shrinks as the replay goes. Only the names
         stay. Tensors that no rule produced (parameters and inputs) keep their
         ``.grad``; a replayed tape has nothing left to replay.
         """
-        root.grad = np.ones_like(root.data)
+        (root if root.slot is None else root.slot).grad = np.ones_like(root.data)
         nodes = self.nodes
         for i in range(len(nodes) - 1, -1, -1):
-            name, out, rule = nodes[i]
+            name, slot, rule = nodes[i]
             nodes[i] = (name, None, None)
-            # out is None after an earlier replay; no gradient: the branch never reached the root
-            if out is not None and out.grad is not None:
-                g, out.grad = out.grad, None
-                out = None  # only a rule that reads the output keeps its data alive while it runs
+            # slot is None after an earlier replay; no gradient: the branch never reached the root
+            if slot is not None and slot.grad is not None:
+                g, slot.grad = slot.grad, None
                 rule(g)
 
-    def first_nonfinite(self) -> str | None:
-        """Name of the earliest recorded op whose output went non-finite; released nodes are skipped."""
-        for name, out, _ in self.nodes:
-            if out is not None and not np.all(np.isfinite(out.data)):
-                return name
-        return None
+
+class _Probe(Tape):
+    """A tape that keeps no node and notes the first op whose output is not finite."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.culprit: str | None = None
+
+    def record(self, name: str, out: "Tensor", backward: Callable[[np.ndarray], None]) -> None:
+        if self.culprit is None and not np.isfinite(out.data).all():
+            self.culprit = name
 
 
-class Tensor:
-    """A float64 array plus an optional gradient buffer."""
+def first_nonfinite(run: Callable[[], object]) -> str | None:
+    """Run ``run()`` under a probe tape and name the first op it records whose output
+    is not finite, or return None.
 
-    __slots__ = ("data", "grad", "needs_grad")
+    The probe checks each output as it is recorded and keeps no node. A tape
+    keeps no outputs to scan after the fact, so a caller that saw a non-finite
+    result runs the same computation again here; deterministic arithmetic
+    gives the rerun the same values.
+    """
+    with _Probe() as probe:
+        run()
+    return probe.culprit
+
+
+class GradTarget:
+    """Where a rule sends a gradient: a leaf ``Tensor`` or a recorded output's ``Slot``."""
+
+    __slots__ = ("grad",)
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``.grad``, taking ownership of it.
+
+        The first gradient is kept as handed over, in whatever layout it has,
+        when it is writeable and has the target's shape; a read-only or
+        mis-shaped one is copied once (into a leaf's data layout). Later
+        gradients add in place. The caller hands over an array it made or a
+        view of its own upstream gradient, gives it to no other target, and
+        does not read it afterwards.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.writeable and g.shape == self.shape:
+            self.grad = g
+        else:
+            self.grad = self._blank()
+            self.grad[...] = g
+
+
+class Slot(GradTarget):
+    """The gradient and the shape of one recorded op's output; the tape keeps this, not the output."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+    def _blank(self) -> np.ndarray:
+        return np.empty(self.shape)
+
+
+class Tensor(GradTarget):
+    """A float64 array plus an optional gradient buffer; ``slot`` is set once a tape records it."""
+
+    __slots__ = ("data", "needs_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.needs_grad = bool(requires_grad)
+        self.slot: Slot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -242,26 +313,19 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` into ``.grad``, taking ownership of it.
-
-        The first gradient is kept as handed over, in whatever layout it has,
-        when it is writeable and has ``data``'s shape; a read-only or
-        mis-shaped one is copied once into ``data``'s layout. Later gradients
-        add in place. The caller hands over an array it made or a view of its
-        own upstream gradient, gives it to no other tensor, and does not read
-        it afterwards.
-        """
-        if self.grad is not None:
-            self.grad += g
-        elif g.flags.writeable and g.shape == self.data.shape:
-            self.grad = g
-        else:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+    def _blank(self) -> np.ndarray:
+        return np.empty_like(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
+
+
+def _target(t: Tensor) -> GradTarget | None:
+    """Where a rule sends ``t``'s gradient: the slot of the op that made it, the leaf
+    itself, or nowhere when ``t`` needs no gradient."""
+    if t.slot is not None:
+        return t.slot
+    return t if t.needs_grad else None
 
 
 def _record(name: str, out: Tensor, inputs: Iterable[Tensor], rule: Callable[[np.ndarray], None]) -> Tensor:
@@ -284,21 +348,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _broadcast_op(name: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
+    """``fwd(a.data, b.data)``; ``da(g)`` and ``db(g)`` are the operands' gradients
+    before unbroadcasting, and read only the arrays they close over."""
     try:
         out_data = fwd(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from exc
     out = Tensor(out_data)
+    ta, tb, a_shape, b_shape = _target(a), _target(b), a.shape, b.shape
 
     def rule(g: np.ndarray) -> None:
-        if a.needs_grad:
-            a.accumulate(_unbroadcast(da(g), a.shape))
-        if b.needs_grad:
-            gb = _unbroadcast(db(g), b.shape)
+        if ta is not None:
+            ta.accumulate(_unbroadcast(da(g), a_shape))
+        if tb is not None:
+            gb = _unbroadcast(db(g), b_shape)
             # add hands g itself to both operands: the second gets its own copy
-            b.accumulate(gb.copy() if a.needs_grad and np.may_share_memory(gb, g) else gb)
+            tb.accumulate(gb.copy() if ta is not None and np.may_share_memory(gb, g) else gb)
 
     return _record(name, out, (a, b), rule)
+
+
+def _read_by(t: Tensor, other: Tensor) -> np.ndarray | None:
+    """``t.data`` when ``other``'s gradient reads it, else None, so no rule keeps it."""
+    return t.data if other.needs_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -306,78 +378,77 @@ def _broadcast_op(name: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op("add", a, b, lambda x, y: x + y, lambda g: g, lambda g: g)
+    return _broadcast_op("add", a, b, np.add, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op("sub", a, b, lambda x, y: x - y, lambda g: g, lambda g: -g)
+    return _broadcast_op("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_op("mul", a, b, lambda x, y: x * y, lambda g: g * b.data, lambda g: g * a.data)
+    x, y = _read_by(a, b), _read_by(b, a)
+    return _broadcast_op("mul", a, b, np.multiply, lambda g: g * y, lambda g: g * x)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if np.any(b.data == 0.0):
         raise NumericError("div: zero denominator")
-    return _broadcast_op(
-        "div",
-        a,
-        b,
-        lambda x, y: x / y,
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
-    )
+    x, y = _read_by(a, b), b.data
+    return _broadcast_op("div", a, b, np.divide, lambda g: g / y, lambda g: -g * x / (y * y))
 
 
 def scale(x: Tensor, k: float) -> Tensor:
     k = float(k)
     out = Tensor(x.data * k)
+    dst = _target(x)
 
     def rule(g: np.ndarray) -> None:
-        x.accumulate(g * k)
+        dst.accumulate(g * k)
 
     return _record("scale", out, (x,), rule)
 
 
 def relu(x: Tensor, inplace: bool = False) -> Tensor:
     """max(x, 0); ``inplace`` writes it over the data of an ``x`` that nothing else reads."""
-    out = Tensor(np.maximum(x.data, 0.0, out=x.data if inplace else None))
+    y = np.maximum(x.data, 0.0, out=x.data if inplace else None)
+    dst = _target(x)
 
-    def rule(g: np.ndarray) -> None:  # g is this rule's own (see Tensor.accumulate), so it is masked in place
-        x.accumulate(np.multiply(g, out.data > 0.0, out=g))
+    def rule(g: np.ndarray) -> None:  # g is this rule's own (see GradTarget.accumulate), so it is masked in place
+        dst.accumulate(np.multiply(g, y > 0.0, out=g))
 
-    return _record("relu", out, (x,), rule)
+    return _record("relu", Tensor(y), (x,), rule)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5*x*(1+erf(x/sqrt(2)))."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    out = Tensor(x.data * cdf)
+    xd, dst = x.data, _target(x)
+    cdf = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
+    out = Tensor(xd * cdf)
 
-    def rule(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        x.accumulate(g * (cdf + x.data * pdf))
+    def rule(g: np.ndarray) -> None:  # keeps the cdf: computing erf again costs more than the array
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        dst.accumulate(g * (cdf + xd * pdf))
 
     return _record("gelu", out, (x,), rule)
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
+    y, dst = np.exp(x.data), _target(x)
 
     def rule(g: np.ndarray) -> None:
-        x.accumulate(g * out.data)
+        dst.accumulate(g * y)
 
-    return _record("exp", out, (x,), rule)
+    return _record("exp", Tensor(y), (x,), rule)
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise NumericError("log: argument must be strictly positive")
-    out = Tensor(np.log(x.data))
+    xd, dst = x.data, _target(x)
+    out = Tensor(np.log(xd))
 
     def rule(g: np.ndarray) -> None:
-        x.accumulate(g / x.data)
+        dst.accumulate(g / xd)
 
     return _record("log", out, (x,), rule)
 
@@ -388,25 +459,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
+    ta, tb, x, y = _target(a), _target(b), _read_by(a, b), _read_by(b, a)
 
     def rule(g: np.ndarray) -> None:
-        if a.needs_grad:
-            a.accumulate(g @ b.data.T)
-        if b.needs_grad:
-            b.accumulate(a.data.T @ g)
+        if ta is not None:
+            ta.accumulate(g @ y.T)
+        if tb is not None:
+            tb.accumulate(x.T @ g)
 
     return _record("matmul", out, (a, b), rule)
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:
     out = Tensor(x.data.sum(axis=axis))
+    dst, shape = _target(x), x.shape
 
     def rule(g: np.ndarray) -> None:
         if axis is not None:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(a % x.ndim for a in axes):
+            for ax in sorted(a % len(shape) for a in axes):
                 g = np.expand_dims(g, ax)
-        x.accumulate(np.broadcast_to(g, x.shape))
+        dst.accumulate(np.broadcast_to(g, shape))
 
     return _record("sum", out, (x,), rule)
 
@@ -426,13 +499,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     z = x.data - m
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(z - lse)
+    y, dst = z - lse, _target(x)
 
     def rule(g: np.ndarray) -> None:
-        soft = np.exp(out.data)
-        x.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        soft = np.exp(y)
+        dst.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
-    return _record("log_softmax", out, (x,), rule)
+    return _record("log_softmax", Tensor(y), (x,), rule)
 
 
 def masked_softmax_rows(scores: Tensor, mask: Tensor) -> Tensor:
@@ -461,13 +534,12 @@ def masked_softmax_rows(scores: Tensor, mask: Tensor) -> Tensor:
     row_max = shifted.max(axis=1, keepdims=True)
     weights = np.exp(shifted - row_max)  # exp(-inf) == +0.0 exactly
     total = weights.sum(axis=1, keepdims=True)
-    out = Tensor(weights / total)
+    a, dst = weights / total, _target(scores)
 
     def rule(g: np.ndarray) -> None:
-        a = out.data
-        scores.accumulate(a * (g - (g * a).sum(axis=1, keepdims=True)))
+        dst.accumulate(a * (g - (g * a).sum(axis=1, keepdims=True)))
 
-    return _record("masked_softmax_rows", out, (scores,), rule)
+    return _record("masked_softmax_rows", Tensor(a), (scores,), rule)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -483,16 +555,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = Tensor(xhat * gain.data + bias.data)
+    tx, tgain, tbias, w = _target(x), _target(gain), _target(bias), _read_by(gain, x)
 
     def rule(g: np.ndarray) -> None:
-        if gain.needs_grad:
-            gain.accumulate((g * xhat).sum(axis=0))
-        if bias.needs_grad:
-            bias.accumulate(g.sum(axis=0))
-        if x.needs_grad:
-            gx = g * gain.data
+        if tgain is not None:
+            tgain.accumulate((g * xhat).sum(axis=0))
+        if tbias is not None:
+            tbias.accumulate(g.sum(axis=0))
+        if tx is not None:
+            gx = g * w
             term = gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True)
-            x.accumulate(term * inv)
+            tx.accumulate(term * inv)
 
     return _record("layer_norm", out, (x, gain, bias), rule)
 
@@ -507,9 +580,10 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         out = Tensor(x.data.reshape(shape))
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}") from exc
+    dst, in_shape = _target(x), x.shape
 
     def rule(g: np.ndarray) -> None:
-        x.accumulate(g.reshape(x.shape))
+        dst.accumulate(g.reshape(in_shape))
 
     return _record("reshape", out, (x,), rule)
 
@@ -520,9 +594,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"transpose axes {axes} are not a permutation of rank {x.ndim}")
     inverse = tuple(int(i) for i in np.argsort(axes))
     out = Tensor(x.data.transpose(axes))
+    dst = _target(x)
 
     def rule(g: np.ndarray) -> None:
-        x.accumulate(g.transpose(inverse))
+        dst.accumulate(g.transpose(inverse))
 
     return _record("transpose", out, (x,), rule)
 
@@ -531,15 +606,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
+    targets, sizes = [_target(p) for p in parts], [p.shape[axis] for p in parts]
 
     def rule(g: np.ndarray) -> None:
         offset = 0
-        for p, n in zip(parts, sizes):
-            if p.needs_grad:
+        for dst, n in zip(targets, sizes):
+            if dst is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(offset, offset + n)
-                p.accumulate(g[tuple(idx)])
+                dst.accumulate(g[tuple(idx)])
             offset += n
 
     return _record("concat", out, tuple(parts), rule)
@@ -554,11 +629,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = Tensor(x.data[idx])
+    dst, shape = _target(x), x.shape
 
     def rule(g: np.ndarray) -> None:
-        buf = np.zeros_like(x.data)
+        buf = np.zeros(shape)
         buf[idx] = g
-        x.accumulate(buf)
+        dst.accumulate(buf)
 
     return _record("narrow", out, (x,), rule)
 
@@ -573,11 +649,12 @@ def take_rows(table: Tensor, indices) -> Tensor:
     if np.any(idx < 0) or np.any(idx >= table.shape[0]):
         raise ShapeError(f"take_rows index out of range for table with {table.shape[0]} rows")
     out = Tensor(table.data[idx])
+    dst, shape = _target(table), table.shape
 
     def rule(g: np.ndarray) -> None:
-        buf = np.zeros_like(table.data)
+        buf = np.zeros(shape)
         np.add.at(buf, idx, g)
-        table.accumulate(buf)
+        dst.accumulate(buf)
 
     return _record("take_rows", out, (table,), rule)
 
@@ -766,12 +843,14 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
     buf_size = xp.size
     del xp, res
     out = Tensor(out_data)
+    tx, tw, tb = _target(x), _target(weight), None if bias is None else _target(bias)
+    x_data = _read_by(x, weight)  # only dW reads the input
 
     def rule(g: np.ndarray) -> None:  # rebuilds the padded input: the tape keeps no buffer
-        if bias is not None and bias.needs_grad:
-            bias.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
+        if tb is not None:
+            tb.accumulate(g.sum(axis=(0,) + tuple(range(2, nd + 2))))
         g = g.reshape((batch, rows.shape[0]) + g.shape[2:])  # the phases back in the channel axis
-        xp = padded(x.data, in_ch, pads)[0] if weight.needs_grad else None
+        xp = None if x_data is None else padded(x_data, in_ch, pads)[0]
         if gather:  # the column GEMM's adjoint on the same windows, over the whole grid
             if grid != out_spatial:  # a stride-1 grid's junk points get zero gradient
                 g = np.pad(g, [(0, 0)] * 2 + [(0, a - e) for a, e in zip(grid, out_spatial)])
@@ -783,14 +862,14 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
                 drows = _gemm_sum((gs[:, s:s + span], cols[:, s:s + span].T) for s in range(0, cols.shape[1], span))
                 del cols
                 drows = drows.reshape(rows.shape)
-                weight.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
-            if x.needs_grad:  # the columns' gradient adds back into the windows it was read from
+                tw.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
+            if tx is not None:  # the columns' gradient adds back into the windows it was read from
                 dcols = (rows.reshape(rows.shape[0], -1).T @ gs).reshape(kernel + (in_ch, batch) + grid)
                 dxp = np.zeros(buf_size)
                 dv = windows(dxp)
                 for k in np.ndindex(*kernel):
                     np.add(dv[k], dcols[k], out=dv[k])
-                x.accumulate(_interior(dxp[:math.prod(layout)].reshape(layout), pads, spatial))
+                tx.accumulate(_interior(dxp[:math.prod(layout)].reshape(layout), pads, spatial))
             return
         if xp is not None:  # dW[off] = sum over planes of G_d @ view_d^T, G laid out as the kn2row output
             if pointwise:  # g already is the kn2row output, with no junk points
@@ -804,11 +883,11 @@ def _conv_nd(name: str, nd: int, x: Tensor, weight: Tensor, bias: Tensor | None,
                 d = np.matmul(gl, view.swapaxes(-1, -2)).sum(axis=(0, 1))
                 drows[(slice(None), slice(None)) + off] = d.reshape(rows.shape[0], kernel[0], in_ch)
             del gl, view, xp
-            weight.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
-        if x.needs_grad:  # the same routine on g, with the kernel flipped and in/out swapped
+            tw.accumulate(_fold_phase_rows(drows) if upsample_phases else np.moveaxis(drows, -1, 1))
+        if tx is not None:  # the same routine on g, with the kernel flipped and in/out swapped
             flipped = rows.swapaxes(0, -1)[(slice(None),) + (slice(None, None, -1),) * nd]
             dx = _kn2row(*padded(g, rows.shape[0], tuple(k - 1 - padding for k in kernel)), flipped)
-            x.accumulate(dx.reshape(x.shape) if pointwise else _interior(dx, (0,) * nd, spatial))
+            tx.accumulate(dx.reshape((batch, in_ch) + spatial) if pointwise else _interior(dx, (0,) * nd, spatial))
 
     return _record(name, out, (x, weight) if bias is None else (x, weight, bias), rule)
 
@@ -847,11 +926,13 @@ def interleave_phases(phases: Tensor) -> Tensor:
     for kept, voxels in _phase_windows(phases.data, out.data, extents):  # one strided copy per phase
         voxels[...] = kept
 
+    dst, shape = _target(phases), phases.shape
+
     def rule(g: np.ndarray) -> None:
-        buf = np.zeros(phases.shape)
+        buf = np.zeros(shape)
         for kept, voxels in _phase_windows(buf, g, extents):
             kept[...] = voxels
-        phases.accumulate(buf)
+        dst.accumulate(buf)
 
     return _record("interleave_phases", out, (phases,), rule)
 
@@ -871,6 +952,7 @@ def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
     for axis in (2, 3, 4):
         out_data = np.repeat(out_data, factor, axis=axis)
     out = Tensor(out_data)
+    dst = _target(x)
 
     def rule(g: np.ndarray) -> None:
         for axis in (2, 3, 4):  # sum each block's `factor` strided slices, one axis at a time
@@ -881,7 +963,7 @@ def upsample3d_nearest(x: Tensor, factor: int) -> Tensor:
                 idx[axis] = slice(i, None, factor)
                 acc += g[tuple(idx)]
             g = acc
-        x.accumulate(g)
+        dst.accumulate(g)
 
     return _record("upsample3d_nearest", out, (x,), rule)
 

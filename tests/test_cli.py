@@ -462,8 +462,6 @@ def test_sweep_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_sweep_exits_two_when_the_logits_overflow(tmp_path, capsys):
     # finite decoder weights of 1e308 overflow the logits past the attention; the
     # arg-max used to turn them into labels and the sweep wrote dice from them

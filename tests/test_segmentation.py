@@ -389,9 +389,9 @@ def test_predict_labels_rejects_non_finite_logits(bad):
         predict_labels(_FixedLogits(logits), None)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_predict_labels_raises_on_an_overflowing_model():
+    # no filterwarnings mark: numpy's overflow warnings used to come first, and the
+    # project's warning filter turns them into exceptions
     cfg = _tiny_cfg()
     model = SegModel(cfg, rng=np.random.default_rng(26))
     for conv in model.decoder + [model.head]:
@@ -591,7 +591,9 @@ def test_train_step_reduces_loss_on_repetition():
 def test_default_train_step_releases_the_tape_as_it_goes():
     # a default-config step peaked at about 29 MB of traced allocations while every
     # first gradient was zero-filled and added and backward kept every gradient and
-    # tape node to the end of the step; handed over and released, about 16 MB
+    # tape node to the end of the step; handed over and released, about 12.7 MB while
+    # the tape kept every op's output, and about 9.0 MB with rules that keep only
+    # the arrays they read
     model = SegModel(seg_config_from_values(load_config(None, "seg")), rng=np.random.default_rng(14))
     batch = _batch(model.cfg, seed=15)
     opt = Adam()
@@ -602,7 +604,7 @@ def test_default_train_step_releases_the_tape_as_it_goes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6, f"{peak / 1e6:.1f} MB traced peak"
+    assert peak < 10.5e6, f"{peak / 1e6:.1f} MB traced peak"
 
 
 def test_default_train_step_keeps_every_handed_over_gradient(monkeypatch):
@@ -610,18 +612,19 @@ def test_default_train_step_keeps_every_handed_over_gradient(monkeypatch):
     # 20 arrays (4.8 MB): conv dX out of the kn2row buffer, the head logits, concat slices
     model = SegModel(SegConfig(), rng=np.random.default_rng(16))
     batch = _batch(model.cfg, seed=17)
-    copied = []
-    accumulate = Tensor.accumulate
+    copied, kept = [], []
+    accumulate = T.GradTarget.accumulate
 
-    def recording(self, g):
+    def recording(self, g):  # leaves and the tape's slots alike
         fresh = self.grad is None
         accumulate(self, g)
-        if fresh and self.grad is not g:
-            copied.append(g.shape)
+        if fresh:
+            (kept if self.grad is g else copied).append((type(self), g.shape))
 
-    monkeypatch.setattr(Tensor, "accumulate", recording)
+    monkeypatch.setattr(T.GradTarget, "accumulate", recording)
     train_step(model, batch, Adam(), **STEP, total_epochs=2)
-    assert all(math.prod(shape) == 1 for shape in copied), copied
+    assert all(math.prod(shape) == 1 for _, shape in copied), copied
+    assert {T.Slot, Tensor} <= {kind for kind, _ in kept}
 
 
 def test_default_phase_convs_gather_and_the_rest_run_kn2row(monkeypatch):

@@ -4,12 +4,14 @@ Expected values are either hand-derived closed forms or brute-force oracles
 computed inline with plain numpy loops.
 """
 
+import gc
 import os
 import platform
 import resource
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -705,10 +707,14 @@ def test_tapes_are_independent():
 
 def test_first_nonfinite_names_earliest_op():
     x = Tensor([1e308], requires_grad=True)
-    with Tape() as tape, np.errstate(over="ignore"):
+
+    def run():
         y = T.mul(x, x)  # overflows to inf
-        T.add(y, y)
-    assert tape.first_nonfinite() == "mul"
+        return T.add(y, y)
+
+    with np.errstate(over="ignore"):
+        assert T.first_nonfinite(run) == "mul"
+    assert T.active_tape() is None  # the probe leaves no tape entered
 
 
 # the single-input ops, each on an input it accepts: their backward rules accumulate
@@ -747,6 +753,108 @@ def test_single_input_op_records_only_for_an_input_that_needs_a_gradient(name):
         assert [node[0] for node in tape.nodes] == [name] and out.needs_grad
         tape.backward(T.sum_(out))
     assert x.grad.shape == data.shape
+
+
+# the ops with several inputs, each on inputs it accepts
+_RNG = np.random.default_rng(4)
+
+
+def _normal(*shape):
+    return _RNG.normal(size=shape)
+
+
+MULTI_INPUT_OPS = {
+    "add": (T.add, [_DATA, _DATA[:1]]),
+    "sub": (T.sub, [_DATA, _DATA]),
+    "mul": (T.mul, [_DATA, _DATA[0]]),
+    "div": (T.div, [_DATA, np.abs(_DATA) + 1.0]),
+    "matmul": (T.matmul, [_DATA, _DATA.T]),
+    "layer_norm": (T.layer_norm, [_DATA, _DATA[0], _DATA[1]]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [_DATA, _DATA]),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1),
+               [_normal(1, 2, 3, 3), _normal(2, 2, 3, 3), _normal(2)]),
+    "conv3d kn2row": (lambda x, w, b: T.conv3d(x, w, b, padding=1),
+                      [_normal(1, 2, 3, 3, 3), _normal(1, 2, 3, 3, 3), _normal(1)]),
+    "conv3d gathering": (lambda x, w, b: T.conv3d(x, w, b, padding=1),
+                         [_normal(1, 1, 3, 3, 3), _normal(4, 1, 3, 3, 3), _normal(4)]),
+    "conv3d pointwise": (T.conv3d, [_normal(1, 2, 3, 3, 3), _normal(2, 2, 1, 1, 1), _normal(2)]),
+    "conv3d upsample phases": (lambda x, w, b: T.conv3d(x, w, b, padding=1, upsample_phases=True),
+                               [_normal(1, 2, 3, 3, 3), _normal(2, 2, 3, 3, 3), _normal(2)]),
+}
+# the inputs whose arrays a rule reads (its own output aside), by position: while
+# only that input needs a gradient (OWN_READS), and while every input does
+# (RULE_READS; a multi-input rule reads an operand for another's gradient, as
+# layer_norm reads its gain for dX and a conv its input for dW). A conv keeps its
+# weight rows either way, a view of the weight but for the upsample phases, whose
+# rows are pre-summed. Every other input's array is freed once the caller drops it.
+_CONVS = ("conv2d", "conv3d kn2row", "conv3d gathering", "conv3d pointwise")
+OWN_READS = {"gelu": {0}, "log": {0}, "div": {1}, **{name: {1} for name in _CONVS}}
+RULE_READS = {"gelu": {0}, "log": {0}, "mul": {0, 1}, "div": {0, 1}, "matmul": {0, 1}, "layer_norm": {1},
+              "conv3d upsample phases": {0}, **{name: {0, 1} for name in _CONVS}}
+TAPE_OPS = {**{name: (op, [data]) for name, (op, data) in SINGLE_INPUT_OPS.items()}, **MULTI_INPUT_OPS}
+
+
+def _tape_op_run(name, dropped, mode, keep):
+    """One op on a tape, then backward. Input ``dropped`` is made by a recorded op,
+    or is a constant when ``mode`` is "constant"; every other input is made by a
+    recorded op, or is a constant when ``mode`` is "alone". Returns whether the
+    dropped input's array outlived the caller's reference (``keep`` holds it to
+    the end) and the leaves' gradients."""
+    op, arrays = TAPE_OPS[name]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    constant = {"all recorded": set(), "constant": {dropped}, "alone": set(range(len(arrays))) - {dropped}}[mode]
+    with Tape() as tape:
+        inputs = [Tensor(leaf.data.copy()) if i in constant else T.scale(leaf, 1.0) for i, leaf in enumerate(leaves)]
+        array = weakref.ref(inputs[dropped].data)
+        out = op(*inputs)
+        loss = T.sum_(T.mul(out, Tensor(np.random.default_rng(5).normal(size=out.shape))))
+        if not keep:
+            del inputs, out
+        gc.collect()
+        alive = array() is not None
+        tape.backward(loss)
+    return alive, [None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves]
+
+
+@pytest.mark.parametrize("name, dropped, mode", [
+    (name, i, mode) for name, (_, arrays) in sorted(TAPE_OPS.items()) for i in range(len(arrays))
+    for mode in (("all recorded", "constant", "alone") if len(arrays) > 1 else ("all recorded",))])
+def test_a_tape_op_frees_each_input_its_rule_does_not_read(name, dropped, mode):
+    alive, grads = _tape_op_run(name, dropped, mode, keep=False)
+    read = dropped in (OWN_READS if mode == "alone" else RULE_READS).get(name, ())
+    assert alive == read, "the tape kept the array" if alive else "the tape freed an array its rule reads"
+    assert grads == _tape_op_run(name, dropped, mode, keep=True)[1]
+
+
+def _tensors_in(obj, seen):
+    """The tensors a rule reaches through its closure and the functions it calls from there."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _tensors_in(item, seen)
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            try:
+                yield from _tensors_in(cell.cell_contents, seen)
+            except ValueError:  # an empty cell
+                pass
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_OPS))
+def test_tape_nodes_hold_no_tensor_but_leaf_gradient_targets(name):
+    op, arrays = TAPE_OPS[name]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        op(*[T.scale(leaf, 1.0) for leaf in leaves])
+    assert all(isinstance(slot, T.Slot) for _, slot, _ in tape.nodes)
+    seen = set()
+    reached = [t for _, _, rule in tape.nodes for t in _tensors_in(rule, seen)]
+    assert reached and all(t.slot is None and t.needs_grad for t in reached)
+    assert {id(t) for t in reached} <= {id(leaf) for leaf in leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +932,8 @@ def test_backward_releases_everything_but_leaf_gradients():
     assert y.grad is None and z.grad is None
     assert np.array_equal(x.grad, [2.0, 4.0])
     assert [name for name, _, _ in tape.nodes] == ["mul", "sum"]
-    assert all(out is None and rule is None for _, out, rule in tape.nodes)
-    assert tape.first_nonfinite() is None
+    assert all(slot is None and rule is None for _, slot, rule in tape.nodes)
+    assert T.first_nonfinite(lambda: T.sum_(T.mul(x, x))) is None
     tape.backward(z)  # replayed once: nothing left to run
     assert np.array_equal(x.grad, [2.0, 4.0])
 
@@ -852,7 +960,7 @@ def _suite_leaf_gradients(monkeypatch, accumulate, seed):
             tape.backward(f(x))
         x.needs_grad = was
         for t in touched.values():
-            if t.grad is not None:  # non-leaves were released by backward
+            if t.grad is not None:
                 # + 0.0 turns -0.0 into +0.0, as the zero fill did: a kept gradient
                 # keeps the -0.0 that rules like the masked softmax's 0.0 * (negative) make
                 leaves.append((t.shape, (t.grad + 0.0).tobytes()))
