@@ -202,6 +202,8 @@ def optimize(model: Module, loss_of: Callable[[], Tensor], optimizer: Adam,
             loss = loss_of()
             value = loss.item()
             if not np.isfinite(value):
+                tape.nodes.clear()  # drop the graph before the forward runs again
+                del loss
                 culprit = T.first_nonfinite(loss_of) or "loss"
                 raise NumericError(f"non-finite training loss (first bad op: {culprit})")
             tape.backward(loss)

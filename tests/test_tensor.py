@@ -940,13 +940,15 @@ def test_backward_releases_everything_but_leaf_gradients():
 
 def _zero_fill_accumulate(self, g):  # the accumulate that copied every gradient
     if self.grad is None:
-        self.grad = np.zeros_like(self.data)
+        self.grad = self._blank()  # a leaf's data layout, or a C-ordered array of a slot's shape
+        self.grad.fill(0.0)
     self.grad += g
 
 
 def _suite_leaf_gradients(monkeypatch, accumulate, seed):
     """The bytes of every leaf gradient on the gradcheck suite's graphs, tape only,
-    with the sign of zero dropped."""
+    with the sign of zero dropped; ``accumulate`` runs for leaves and the tape's
+    slots alike."""
     touched, leaves = {}, []
 
     def recording(self, g):
@@ -960,14 +962,14 @@ def _suite_leaf_gradients(monkeypatch, accumulate, seed):
             tape.backward(f(x))
         x.needs_grad = was
         for t in touched.values():
-            if t.grad is not None:
+            if t.grad is not None:  # backward released every slot's gradient: leaves only
                 # + 0.0 turns -0.0 into +0.0, as the zero fill did: a kept gradient
                 # keeps the -0.0 that rules like the masked softmax's 0.0 * (negative) make
                 leaves.append((t.shape, (t.grad + 0.0).tobytes()))
                 t.grad = None
         return 0.0
 
-    monkeypatch.setattr(Tensor, "accumulate", recording)
+    monkeypatch.setattr(T.GradTarget, "accumulate", recording)
     monkeypatch.setattr(harness, "grad_check", tape_only)
     harness.gradcheck_suite(seed)
     monkeypatch.undo()
@@ -976,7 +978,7 @@ def _suite_leaf_gradients(monkeypatch, accumulate, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_handover_leaves_gradients_bitwise_unchanged(monkeypatch, seed):
-    kept = _suite_leaf_gradients(monkeypatch, Tensor.accumulate, seed)
+    kept = _suite_leaf_gradients(monkeypatch, T.GradTarget.accumulate, seed)
     copied = _suite_leaf_gradients(monkeypatch, _zero_fill_accumulate, seed)
     assert len(kept) == len(copied) > 20
     assert kept == copied
